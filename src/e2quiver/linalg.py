@@ -3,8 +3,12 @@
 Every entry is a ``fractions.Fraction``; there is no floating point and no
 tolerance anywhere in this package.  Matrices are small (total dimensions of
 the order of tens), so the elimination routines favour exactness and
-determinism over asymptotics: Gaussian elimination with the first nonzero
-pivot, reduced row echelon form, and pivot-normalized kernel bases.
+determinism over asymptotics.  One elimination core serves rank, pivots,
+kernels and solving: fraction-free Gaussian elimination on primitive integer
+rows with the first nonzero pivot, then one division per pivot row to give
+the reduced row echelon form over the rationals, from which every entry
+point reads its answer (pivot-normalized kernel bases, solutions with free
+variables zero).
 
 Floats are rejected on input so a rounding error can never sneak in.
 """
@@ -12,6 +16,7 @@ Floats are rejected on input so a rounding error can never sneak in.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -27,7 +32,10 @@ def frac(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 
@@ -82,11 +90,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, (_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
-
-    @classmethod
-    def column(cls, values: Iterable[RationalLike]) -> "Matrix":
-        col = vector(values)
-        return cls(len(col), 1, col)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[RationalLike]], rows: int | None = None) -> "Matrix":
@@ -210,11 +213,22 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Elimination core.  Rows are kept as sparse {column: value} dicts: the
-# intertwiner systems assembled elsewhere are very sparse and this keeps the
-# exact arithmetic fast.
+# Elimination core.  Rows are kept as sparse {column: value} dicts of nonzero
+# entries: the intertwiner systems assembled elsewhere are very sparse.
+#
+# The core eliminates fraction-free, on integer rows (in the spirit of
+# Bareiss 1968).  Each row is first scaled to a primitive integer row (no
+# denominators, entries without a common factor).  Clearing an entry f with
+# a pivot p is row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f),
+# followed by division by the row's content, so entries stay small integers
+# and no Fraction is built during elimination.  Entries below each pivot are
+# cleared first, those above it afterwards, last pivot first.  At the end
+# each reduced row is divided by its pivot once.  The reduced row echelon
+# form is unique, so this gives exactly the RREF that elimination over
+# Fraction gives.
 
 SparseRow = dict[int, Fraction]
+_IntRow = dict[int, int]
 
 
 def _to_sparse_rows(m: Matrix) -> list[SparseRow]:
@@ -225,54 +239,107 @@ def _to_sparse_rows(m: Matrix) -> list[SparseRow]:
     return rows
 
 
-def _row_sub(row: SparseRow, factor: Fraction, pivot_row: SparseRow) -> None:
-    # row -= factor * pivot_row, dropping exact zeros
-    for c, v in pivot_row.items():
-        nv = row.get(c, _ZERO) - factor * v
+def _primitive(row: SparseRow) -> _IntRow:
+    """A nonzero rational row scaled to integers with no common factor."""
+    den = lcm(*(v.denominator for v in row.values()))
+    if den == 1:
+        out = {c: v.numerator for c, v in row.items()}
+    else:
+        out = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*out.values())
+    if g != 1:
+        out = {c: v // g for c, v in out.items()}
+    return out
+
+
+def _eliminate(row: _IntRow, col: int, piv: _IntRow, p: int) -> _IntRow:
+    """row with its entry in col cleared by piv, whose entry there is p > 0,
+    made primitive again.  Updates row in place when p divides that entry."""
+    f = row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in piv.items():
+        nv = row.get(c, 0) - b * v
         if nv:
             row[c] = nv
         else:
-            row.pop(c, None)
+            del row[c]
+    content = gcd(*row.values())
+    if content > 1:
+        row = {c: v // content for c, v in row.items()}
+    return row
 
 
-def _rref(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
-    """Reduced row echelon form.
+def _reduce(rows: Iterable[SparseRow], ncols: int) -> tuple[list[_IntRow], list[int]]:
+    """Integer reduced row echelon form.
 
     Pivot policy: columns left to right, first remaining row with a nonzero
-    entry (exact Gaussian elimination, no tolerances).  Returns the nonzero
-    reduced rows (one per pivot, in pivot order) and the pivot columns.
+    entry.  Returns the nonzero reduced rows (one per pivot, in pivot order,
+    each primitive with a positive pivot entry and zeros in the other pivot
+    columns) and the pivot columns.
     """
-    work = [dict(r) for r in rows if r]
-    reduced: list[SparseRow] = []
+    work = [_primitive(r) for r in rows if r]
+    reduced: list[_IntRow] = []
     pivots: list[int] = []
     for col in range(ncols):
-        piv_idx = None
         for idx, row in enumerate(work):
             if col in row:
-                piv_idx = idx
                 break
-        if piv_idx is None:
+        else:
             continue
-        piv = work.pop(piv_idx)
-        inv = _ONE / piv[col]
-        if inv != 1:
-            piv = {c: v * inv for c, v in piv.items()}
-        for row in work:
-            f = row.get(col)
-            if f is not None:
-                _row_sub(row, f, piv)
-        for row in reduced:
-            f = row.get(col)
-            if f is not None:
-                _row_sub(row, f, piv)
+        piv = work.pop(idx)
+        p = piv[col]
+        if p < 0:
+            piv = {c: -v for c, v in piv.items()}
+            p = -p
+        # rows before idx have no entry in col
+        rest = []
+        for row in work[idx:]:
+            if col in row:
+                row = _eliminate(row, col, piv, p)
+                if not row:
+                    continue
+            rest.append(row)
+        work[idx:] = rest
         reduced.append(piv)
         pivots.append(col)
+    # back-substitution, last pivot first, so that each pivot row used is
+    # already zero in the later pivot columns
+    for k in range(len(reduced) - 1, 0, -1):
+        piv, col = reduced[k], pivots[k]
+        p = piv[col]
+        for i in range(k):
+            if col in reduced[i]:
+                reduced[i] = _eliminate(reduced[i], col, piv, p)
     return reduced, pivots
 
 
-def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[Vector]:
-    """Pivot-normalized kernel basis of a sparse homogeneous system."""
-    reduced, pivots = _rref(rows, ncols)
+def _rref(rows: Iterable[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
+    """Reduced row echelon form over the rationals: the integer form with
+    each row divided by its pivot entry."""
+    reduced, pivots = _reduce(rows, ncols)
+    out = []
+    for row, col in zip(reduced, pivots):
+        p = row[col]
+        out.append({c: Fraction(v, p) for c, v in row.items()})
+    return out, pivots
+
+
+def _augment(rows: list[SparseRow], ncols: int, rhs: Iterable[Sequence[Fraction]]) -> list[SparseRow]:
+    """Copies of rows with the right-hand side entries rhs[i][j] placed in
+    column ncols + j of row i."""
+    out = [dict(r) for r in rows]
+    for i, b in enumerate(rhs):
+        for j, v in enumerate(b):
+            if v != 0:
+                out[i][ncols + j] = v
+    return out
+
+
+def _kernel(reduced: list[SparseRow], pivots: list[int], ncols: int) -> list[Vector]:
+    """Pivot-normalized kernel basis of the first ncols columns of an RREF."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -281,11 +348,32 @@ def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[Vector]:
         v = [_ZERO] * ncols
         v[free] = _ONE
         for row, p in zip(reduced, pivots):
+            if p >= ncols:
+                break
             coeff = row.get(free)
             if coeff is not None:
                 v[p] = -coeff
         basis.append(tuple(v))
     return basis
+
+
+def _particular(reduced: list[SparseRow], pivots: list[int], ncols: int, nrhs: int) -> list[list[Fraction]] | None:
+    """The solution X (ncols x nrhs, free variables zero) of A X = B read off
+    the RREF of [A | B], or None when a pivot lies in B."""
+    if pivots and pivots[-1] >= ncols:
+        return None
+    x = [[_ZERO] * nrhs for _ in range(ncols)]
+    for row, p in zip(reduced, pivots):
+        for c, v in row.items():
+            if c >= ncols:
+                x[p][c - ncols] = v
+    return x
+
+
+def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[Vector]:
+    """Pivot-normalized kernel basis of a sparse homogeneous system."""
+    reduced, pivots = _rref(rows, ncols)
+    return _kernel(reduced, pivots, ncols)
 
 
 def sparse_affine_solve(
@@ -296,43 +384,19 @@ def sparse_affine_solve(
     Returns (particular solution with free variables zero, kernel basis of the
     homogeneous part); the particular solution is None when inconsistent.
     """
-    aug_rows = [dict(r) for r in rows]
-    for i, val in enumerate(rhs):
-        if val != 0:
-            aug_rows[i][ncols] = val
-    reduced, pivots = _rref(aug_rows, ncols + 1)
-    pivot_set = set(pivots)
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
-        for row, p in zip(reduced, pivots):
-            if p >= ncols:
-                continue
-            coeff = row.get(free)
-            if coeff is not None:
-                v[p] = -coeff
-        kernel.append(tuple(v))
-    if ncols in pivot_set:
-        return None, kernel
-    x = [_ZERO] * ncols
-    for row, p in zip(reduced, pivots):
-        x[p] = row.get(ncols, _ZERO)
-    return tuple(x), kernel
+    reduced, pivots = _rref(_augment(rows, ncols, ((v,) for v in rhs)), ncols + 1)
+    x = _particular(reduced, pivots, ncols, 1)
+    return (None if x is None else tuple(r[0] for r in x)), _kernel(reduced, pivots, ncols)
 
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals."""
-    _, pivots = _rref(_to_sparse_rows(m), m.cols)
-    return len(pivots)
+    return len(pivot_columns(m))
 
 
 def pivot_columns(m: Matrix) -> list[int]:
     """Pivot columns of the reduced echelon form, ascending."""
-    _, pivots = _rref(_to_sparse_rows(m), m.cols)
-    return pivots
+    return _reduce(_to_sparse_rows(m), m.cols)[1]
 
 
 def column_space_basis(m: Matrix) -> Matrix:
@@ -358,19 +422,8 @@ def solve(m: Matrix, b: Sequence[RationalLike]) -> Vector | None:
     """
     if len(b) != m.rows:
         raise ValueError(f"right-hand side has {len(b)} entries, matrix has {m.rows} rows")
-    bb = vector(b)
-    rows = _to_sparse_rows(m)
-    aug = m.cols
-    for i, val in enumerate(bb):
-        if val != 0:
-            rows[i][aug] = val
-    reduced, pivots = _rref(rows, aug + 1)
-    if aug in pivots:
-        return None
-    x = [_ZERO] * m.cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row.get(aug, _ZERO)
-    return tuple(x)
+    x = solve_multi(m, Matrix(m.rows, 1, b))
+    return None if x is None else x.col(0)
 
 
 def solve_multi(m: Matrix, rhs: Matrix) -> Matrix | None:
@@ -381,21 +434,10 @@ def solve_multi(m: Matrix, rhs: Matrix) -> Matrix | None:
     """
     if rhs.rows != m.rows:
         raise ValueError(f"right-hand side has {rhs.rows} rows, matrix has {m.rows}")
-    rows = _to_sparse_rows(m)
-    base = m.cols
-    for i in range(m.rows):
-        for j, v in enumerate(rhs.row(i)):
-            if v != 0:
-                rows[i][base + j] = v
-    reduced, pivots = _rref(rows, base + rhs.cols)
-    if any(p >= base for p in pivots):
-        return None
-    out = [[_ZERO] * rhs.cols for _ in range(m.cols)]
-    for row, p in zip(reduced, pivots):
-        for c, v in row.items():
-            if c >= base:
-                out[p][c - base] = v
-    return Matrix.from_rows(out, cols=rhs.cols)
+    rows = _augment(_to_sparse_rows(m), m.cols, (rhs.row(i) for i in range(rhs.rows)))
+    reduced, pivots = _rref(rows, m.cols + rhs.cols)
+    x = _particular(reduced, pivots, m.cols, rhs.cols)
+    return None if x is None else Matrix.from_rows(x, cols=rhs.cols)
 
 
 def trace(m: Matrix) -> Fraction:
@@ -405,46 +447,15 @@ def trace(m: Matrix) -> Fraction:
     return sum((m[i, i] for i in range(m.rows)), _ZERO)
 
 
-def is_invertible(m: Matrix) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows
-
-
 def inverse(m: Matrix) -> Matrix | None:
-    """Exact inverse of a square matrix, or None if singular."""
+    """Exact inverse of a square matrix, or None if singular.
+
+    One elimination: for square m, m X = I has a solution exactly when m is
+    invertible, and the solution is then the inverse.
+    """
     if m.rows != m.cols:
         raise ValueError(f"inverse of non-square {m.rows}x{m.cols} matrix")
-    sol = solve_multi(m, Matrix.identity(m.rows))
-    if sol is None or rank(m) != m.rows:
-        return None
-    return sol
-
-
-def hstack(blocks: Sequence[Matrix]) -> Matrix:
-    if not blocks:
-        raise ValueError("hstack of no blocks")
-    nrows = blocks[0].rows
-    if any(b.rows != nrows for b in blocks):
-        raise ValueError("hstack with mismatched row counts")
-    rows = []
-    for i in range(nrows):
-        row: list[Fraction] = []
-        for b in blocks:
-            row.extend(b.row(i))
-        rows.append(row)
-    return Matrix.from_rows(rows, cols=sum(b.cols for b in blocks))
-
-
-def vstack(blocks: Sequence[Matrix]) -> Matrix:
-    if not blocks:
-        raise ValueError("vstack of no blocks")
-    ncols = blocks[0].cols
-    if any(b.cols != ncols for b in blocks):
-        raise ValueError("vstack with mismatched column counts")
-    rows = []
-    for b in blocks:
-        for i in range(b.rows):
-            rows.append(list(b.row(i)))
-    return Matrix.from_rows(rows, cols=ncols)
+    return solve_multi(m, Matrix.identity(m.rows))
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:

@@ -27,6 +27,8 @@ from .linalg import (
     block_diag,
     column_space_basis,
     frac,
+    inverse,
+    kernel_basis,
     rank,
     solve,
     solve_multi,
@@ -378,22 +380,6 @@ class EndAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def multiply_coeffs(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-        n = self.dim
-        out = [_ZERO] * n
-        for i in range(n):
-            if a[i] == 0:
-                continue
-            for j in range(n):
-                if b[j] == 0:
-                    continue
-                f = a[i] * b[j]
-                for k in range(n):
-                    c = self.multiplication_table[i][j][k]
-                    if c != 0:
-                        out[k] += f * c
-        return tuple(out)
-
 
 def end_algebra(x: QuiverRep) -> EndAlgebra:
     """Endomorphism algebra with multiplication table and radical dimension."""
@@ -424,7 +410,7 @@ def end_algebra(x: QuiverRep) -> EndAlgebra:
         [[sum((table[i][j][k] * left_traces[k] for k in range(n)), _ZERO) for j in range(n)] for i in range(n)],
         cols=n,
     )
-    radical_coeffs = [tuple(v) for v in _kernel_of(gram)]
+    radical_coeffs = kernel_basis(gram)
     radical_dim = len(radical_coeffs)
     return EndAlgebra(
         rep=x,
@@ -435,12 +421,6 @@ def end_algebra(x: QuiverRep) -> EndAlgebra:
         identity_coeffs=identity_coeffs,
         radical_coeffs=radical_coeffs,
     )
-
-
-def _kernel_of(m: Matrix) -> list[Vector]:
-    from .linalg import kernel_basis
-
-    return kernel_basis(m)
 
 
 # ---------------------------------------------------------------------------
@@ -972,8 +952,6 @@ def is_isomorphic(
 
 def apply_gv(x: QuiverRep, g: GradedMap) -> QuiverRep:
     """The base-change action: each arrow map becomes g_target x_a g_source^{-1}."""
-    from .linalg import inverse
-
     inverses = {}
     for v in x.window.vertices():
         m = g[v]

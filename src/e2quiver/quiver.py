@@ -84,7 +84,14 @@ class DimensionVector:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, int]) -> "DimensionVector":
-        return cls({int(k): int(v) for k, v in data.items()})
+        """Parse {"weight": multiplicity}.  Multiplicities must be JSON
+        integers: a float, a bool or a string is rejected, not converted."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"dimension vector must be an object, got {type(data).__name__}")
+        for k, v in data.items():
+            if type(v) is not int:
+                raise ValueError(f"multiplicity at weight {k} must be an integer, got {v!r}")
+        return cls({int(k): v for k, v in data.items()})
 
 
 @dataclass(frozen=True)

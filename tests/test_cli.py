@@ -143,6 +143,23 @@ def test_iso_requires_two_modules(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "dims, h0, hbar0",
+    [
+        ({"0": 1, "1": 1}, [["1/0"]], [["0"]]),  # zero denominator
+        ({"0": 2.7, "1": 1}, [["1", "0"]], [["0"], ["0"]]),  # float read as 2 before
+        ({"0": True, "1": 1}, [["1"]], [["0"]]),  # bool read as 1 before
+    ],
+)
+def test_iso_rejects_invalid_numbers_exits_1(capsys, tmp_path, dims, h0, hbar0):
+    doc = {"window": [0, 1], "dims": dims, "maps": {"h0": h0, "hbar0": hbar0}}
+    path = write_json(tmp_path / "bad.json", doc)
+    code, out, err = run_cli(capsys, "iso", "--module", path, "--module", path)
+    assert code == 1
+    assert "error" in json.loads(out)
+    assert err == ""
+
+
 def test_decompose_command(capsys, tmp_path):
     x = to_quiver(young_module(Partition.of(2), 0).module)
     path = write_json(tmp_path / "sum.json", direct_sum(x, x).to_json_dict())

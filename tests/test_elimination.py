@@ -1,0 +1,238 @@
+"""Differential tests of the elimination core in ``e2quiver.linalg``.
+
+``linalg`` eliminates fraction-free on integer rows and divides by each
+pivot once at the end.  The reference here is exact Gaussian elimination
+over ``Fraction``, one row operation at a time, with the same pivot policy;
+its read-offs are the ones ``linalg`` used before it had an integer core.
+The reduced row echelon form is unique, so every elimination entry point
+must give exactly the reference's answer.  ``sympy`` supplies an independent
+check of rank, nullspace and solve.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from e2quiver import linalg
+from e2quiver.linalg import (
+    Matrix,
+    column_space_basis,
+    inverse,
+    kernel_basis,
+    pivot_columns,
+    rank,
+    solve,
+    solve_multi,
+    sparse_affine_solve,
+    sparse_kernel,
+)
+
+# derandomized, so that a tier-1 run is repeatable
+EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+# --- reference: elimination over Fraction ------------------------------------
+
+
+def oracle_rref(rows, ncols):
+    """RREF by Fraction row operations.  Pivot policy: columns left to
+    right, first remaining row with a nonzero entry."""
+    work = [dict(r) for r in rows if r]
+    reduced, pivots = [], []
+    for col in range(ncols):
+        piv_idx = next((i for i, r in enumerate(work) if col in r), None)
+        if piv_idx is None:
+            continue
+        piv = work.pop(piv_idx)
+        inv = _ONE / piv[col]
+        piv = {c: v * inv for c, v in piv.items()}
+        for row in work + reduced:
+            f = row.get(col)
+            if f is None:
+                continue
+            for c, v in piv.items():
+                nv = row.get(c, _ZERO) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        reduced.append(piv)
+        pivots.append(col)
+    return reduced, pivots
+
+
+def oracle_kernel(rows, ncols):
+    reduced, pivots = oracle_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [_ZERO] * ncols
+        v[free] = _ONE
+        for row, p in zip(reduced, pivots):
+            if free in row:
+                v[p] = -row[free]
+        basis.append(tuple(v))
+    return basis
+
+
+def oracle_solve(rows, ncols, rhs_columns):
+    """Solution columns of A X = B with free variables zero, or None."""
+    k = len(rhs_columns)
+    aug = [dict(r) for r in rows]
+    for j, column in enumerate(rhs_columns):
+        for i, v in enumerate(column):
+            if v:
+                aug[i][ncols + j] = v
+    reduced, pivots = oracle_rref(aug, ncols + k)
+    if any(p >= ncols for p in pivots):
+        return None
+    x = [[_ZERO] * k for _ in range(ncols)]
+    for row, p in zip(reduced, pivots):
+        for c, v in row.items():
+            if c >= ncols:
+                x[p][c - ncols] = v
+    return [tuple(x[i][j] for i in range(ncols)) for j in range(k)]
+
+
+# --- random sparse rational systems -------------------------------------------
+
+small = st.sampled_from(sorted({Fraction(n, d) for n in range(-6, 7) if n for d in range(1, 5)}))
+large = st.builds(Fraction, st.integers(-(10**12), 10**12).filter(bool), st.integers(1, 10**6))
+nonzero = st.one_of(small, small, small, large)
+rational = st.one_of(st.just(_ZERO), nonzero)
+
+
+def _combine(a, b, x, y):
+    out = {}
+    for c in set(a) | set(b):
+        v = x * a.get(c, _ZERO) + y * b.get(c, _ZERO)
+        if v:
+            out[c] = v
+    return out
+
+
+@st.composite
+def systems(draw, max_rows=7, max_cols=7):
+    """(rows, ncols): sparse rows of nonzero rationals, with zero rows,
+    duplicate and scaled rows, and combinations of earlier rows, so that
+    kernels and inconsistent right-hand sides are common."""
+    ncols = draw(st.integers(0, max_cols))
+    row = st.dictionaries(st.integers(0, ncols - 1), nonzero, max_size=ncols) if ncols else st.just({})
+    rows = draw(st.lists(row, max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        new = _combine(a, b, draw(nonzero), draw(rational))
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, ncols
+
+
+@st.composite
+def systems_with_rhs(draw, max_rhs=3):
+    rows, ncols = draw(systems())
+    k = draw(st.integers(0, max_rhs))
+    rhs = [[draw(rational) for _ in rows] for _ in range(k)]
+    # a right-hand side in the column span makes a consistent system
+    if rows and ncols and draw(st.booleans()):
+        x = [draw(rational) for _ in range(ncols)]
+        rhs.append([sum((v * x[c] for c, v in r.items()), _ZERO) for r in rows])
+    return rows, ncols, rhs
+
+
+def dense(rows, ncols):
+    return Matrix(len(rows), ncols, [r.get(j, _ZERO) for r in rows for j in range(ncols)])
+
+
+# --- every entry point against the reference ----------------------------------
+
+
+@EXAMPLES
+@given(systems_with_rhs())
+def test_every_entry_point_matches_reference(system):
+    rows, ncols, rhs = system
+    m = dense(rows, ncols)
+    reduced, pivots = oracle_rref(rows, ncols)
+    assert linalg._rref(rows, ncols) == (reduced, pivots)
+    assert pivot_columns(m) == pivots
+    assert rank(m) == len(pivots)
+    assert column_space_basis(m) == Matrix.from_columns([m.col(j) for j in pivots], rows=m.rows)
+    kernel = oracle_kernel(rows, ncols)
+    assert sparse_kernel(rows, ncols) == kernel
+    assert kernel_basis(m) == kernel
+    for b in rhs:
+        expected = oracle_solve(rows, ncols, [b])
+        x = None if expected is None else expected[0]
+        assert solve(m, b) == x
+        assert sparse_affine_solve(rows, b, ncols) == (x, kernel)
+    expected = oracle_solve(rows, ncols, rhs)
+    got = solve_multi(m, Matrix.from_columns(rhs, rows=len(rows)))
+    if expected is None:
+        assert got is None
+    else:
+        assert got == Matrix.from_columns(expected, rows=ncols)
+    # the first ncols rows, padded with unit rows to a square system
+    square = (rows + [{j: _ONE} for j in range(ncols)])[:ncols]
+    identity = [[_ONE if i == j else _ZERO for i in range(ncols)] for j in range(ncols)]
+    expected = oracle_solve(square, ncols, identity)
+    got = inverse(dense(square, ncols))
+    if expected is None:
+        assert got is None
+    else:
+        assert got == Matrix.from_columns(expected, rows=ncols)
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(ValueError):
+        inverse(Matrix.zero(2, 3))
+
+
+def test_content_growth_stays_exact():
+    # a Hilbert matrix: ill-conditioned, with large denominators in its inverse
+    n = 7
+    h = Matrix(n, n, [Fraction(1, i + j + 1) for i in range(n) for j in range(n)])
+    rows = [{j: v for j, v in enumerate(h.row(i))} for i in range(n)]
+    identity = [[_ONE if i == j else _ZERO for i in range(n)] for j in range(n)]
+    assert inverse(h) == Matrix.from_columns(oracle_solve(rows, n, identity), rows=n)
+    assert inverse(h)[0, 0] == 49
+
+
+# --- an independent check: sympy ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sympy, values):
+    return [sympy.Rational(v.numerator, v.denominator) for v in values]
+
+
+def _from_sympy(values):
+    return tuple(Fraction(int(v.p), int(v.q)) for v in values)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(systems_with_rhs(max_rhs=1))
+def test_rank_nullspace_solve_agree_with_sympy(sympy, system):
+    rows, ncols, rhs = system
+    if not rows or not ncols:
+        return
+    m = dense(rows, ncols)
+    sm = sympy.Matrix([_to_sympy(sympy, m.row(i)) for i in range(m.rows)])
+    assert rank(m) == sm.rank()
+    assert kernel_basis(m) == [_from_sympy(v) for v in sm.nullspace()]
+    for b in rhs:
+        sb = sympy.Matrix(_to_sympy(sympy, b))
+        try:
+            sol, params = sm.gauss_jordan_solve(sb)
+        except ValueError:
+            assert solve(m, b) is None
+            continue
+        sol = sol.subs({p: 0 for p in params})
+        assert solve(m, b) == _from_sympy(sol)
