@@ -1,11 +1,11 @@
 """Split direct sums back into their indecomposable pieces.
 
 Direct sums of thin indecomposables are assembled at random, then handed
-to the splitting machinery, which hunts for nontrivial idempotent
-endomorphisms (exact idempotents in the Hom basis, weight-block
-projections, spectral idempotents from minimal polynomials) and cuts the
-representation along them.  Krull-Schmidt at this scale: the recovered
-multiset of isomorphism classes always matches the construction.
+to the splitting machinery, which cuts the representation into the
+primary components of an endomorphism (an End basis element or a seeded
+combination) whose minimal polynomial has coprime factors.  Krull-Schmidt
+at this scale: the recovered multiset of isomorphism classes always
+matches the construction.
 """
 
 import random

@@ -159,7 +159,10 @@ def _cmd_residue_dims(args) -> int:
 
 def _cmd_enumerate_thin(args) -> int:
     a, b = args.window
-    window = Window(a, b)
+    try:
+        window = Window(a, b)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
     docs = []
     for rep in moduli.enumerate_thin_indecomposables(window):
         doc = rep.to_json_dict()

@@ -63,7 +63,7 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[RationalLike]):
         self.rows = rows
         self.cols = cols
-        self._e = tuple(frac(v) for v in entries)
+        self._e = tuple(v if v.__class__ is Fraction else frac(v) for v in entries)
         if len(self._e) != rows * cols:
             raise ValueError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(self._e)}"

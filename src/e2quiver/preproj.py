@@ -5,8 +5,15 @@ integer weight in a window) together with one matrix per double-quiver
 arrow.  This module decides everything the classification work needs:
 whether the Gelfand-Ponomarev relations hold, nilpotency, intertwiner
 (Hom) spaces, endomorphism algebras with their Jacobson radical,
-indecomposability, direct sums, splitting off summands, and isomorphism
+indecomposability, direct sums, splitting into summands, and isomorphism
 testing under the base-change group.
+
+The radical of End(M) is the kernel of the trace form (a, b) -> Tr_M(ab)
+on M itself, read off the Hom basis with no structure constants.  Splitting
+has one mechanism: the primary decomposition of M under one endomorphism
+(the End basis in order, then seeded combinations), whose components
+ker f_i(phi) for the coprime factors f_i of its minimal polynomial are
+submodules with direct sum M.
 
 Isomorphism testing is deterministic when the Hom space has dimension at
 most one and Monte Carlo (seeded, one-sided error) otherwise, with an
@@ -18,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -286,18 +294,6 @@ class _HomLayout:
             g[v] = Matrix(nr, nc, (coords[base + r * nc + c] for r in range(nr) for c in range(nc)))
         return g
 
-    def vec(self, g: GradedMap) -> Vector:
-        coords = [_ZERO] * self.size
-        for v in self.window.vertices():
-            m = g[v]
-            base = self.offsets[v]
-            nc = m.cols
-            for r in range(m.rows):
-                row = m.row(r)
-                for c in range(nc):
-                    coords[base + r * nc + c] = row[c]
-        return tuple(coords)
-
 
 def hom_basis(x: QuiverRep, y: QuiverRep) -> HomSpace:
     """Basis of all graded maps g with g_target x_a = y_a g_source for every
@@ -324,28 +320,8 @@ def graded_identity(x: QuiverRep) -> GradedMap:
     return {v: Matrix.identity(x.dim(v)) for v in x.window.vertices()}
 
 
-def _gm_compose(g: GradedMap, h: GradedMap) -> GradedMap:
-    return {v: g[v] * h[v] for v in g}
-
-
 def _gm_add(g: GradedMap, h: GradedMap) -> GradedMap:
     return {v: g[v] + h[v] for v in g}
-
-
-def _gm_sub(g: GradedMap, h: GradedMap) -> GradedMap:
-    return {v: g[v] - h[v] for v in g}
-
-
-def _gm_scale(c: Fraction, g: GradedMap) -> GradedMap:
-    return {v: g[v].scale(c) for v in g}
-
-
-def _gm_is_zero(g: GradedMap) -> bool:
-    return all(m.is_zero() for m in g.values())
-
-
-def _gm_equal(g: GradedMap, h: GradedMap) -> bool:
-    return all(g[v] == h[v] for v in g)
 
 
 def _gm_invertible(g: GradedMap) -> bool:
@@ -359,21 +335,20 @@ def _gm_invertible(g: GradedMap) -> bool:
 
 @dataclass
 class EndAlgebra:
-    """The endomorphism algebra of a representation.
+    """The endomorphism algebra of a representation M.
 
-    multiplication_table[i][j][k] is the coefficient of basis[k] in the
-    composition basis[i] o basis[j].  The radical dimension comes from the
-    characteristic-zero trace-form criterion: an element a is in the Jacobson
-    radical iff trace(L_{a b}) = 0 for every b, where L is left
-    multiplication on the algebra.
+    basis is the Hom basis of End(M); radical_coeffs spans its Jacobson
+    radical in basis coordinates.  The radical is the kernel of Dickson's
+    trace form (a, b) -> Tr_M(ab), the trace of ab acting on M itself.  This
+    holds because M is a faithful End(M)-module in characteristic zero: the
+    kernel is an ideal whose elements a have Tr_M(a^k) = 0 for every k, so
+    they are nilpotent, and every radical element lies in it.
     """
 
     rep: QuiverRep
     basis: list[GradedMap]
-    multiplication_table: tuple[tuple[tuple[Fraction, ...], ...], ...]
     radical_dim: int
     semisimple_quotient_dim: int
-    identity_coeffs: Vector
     radical_coeffs: list[Vector]
 
     @property
@@ -382,49 +357,36 @@ class EndAlgebra:
 
 
 def end_algebra(x: QuiverRep) -> EndAlgebra:
-    """Endomorphism algebra with multiplication table and radical dimension."""
+    """Endomorphism algebra with its radical from the trace form on x."""
     if x.total_dim == 0:
         raise ValueError("endomorphism algebra of the zero representation")
-    layout = _HomLayout(x, x)
-    homs = hom_basis(x, x)
-    basis = homs.basis
+    basis = hom_basis(x, x).basis
     n = len(basis)
-    basis_cols = Matrix.from_columns([layout.vec(g) for g in basis], rows=layout.size)
-    products = Matrix.from_columns(
-        [layout.vec(_gm_compose(basis[i], basis[j])) for i in range(n) for j in range(n)],
-        rows=layout.size,
-    )
-    coeffs = solve_multi(basis_cols, products)
-    if coeffs is None:
-        raise AssertionError("endomorphism basis is not closed under composition")
-    table = tuple(
-        tuple(tuple(coeffs[k, i * n + j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    identity_coeffs = solve(basis_cols, layout.vec(graded_identity(x)))
-    if identity_coeffs is None:
-        raise AssertionError("identity endomorphism outside the computed basis span")
-    # trace of left multiplication by each basis element
-    left_traces = [sum((table[k][l][l] for l in range(n)), _ZERO) for k in range(n)]
-    gram = Matrix.from_rows(
-        [[sum((table[i][j][k] * left_traces[k] for k in range(n)), _ZERO) for j in range(n)] for i in range(n)],
-        cols=n,
-    )
-    radical_coeffs = kernel_basis(gram)
+    # Tr_M(ab) = sum over vertices v and entries (r, c) of a_v[r, c] b_v[c, r]
+    entries = [
+        {(v, r, c): a for v, m in g.items() for r in range(m.rows) for c, a in enumerate(m.row(r)) if a}
+        for g in basis
+    ]
+    gram = [[_ZERO] * n for _ in range(n)]
+    for i, a in enumerate(entries):
+        for j in range(i, n):
+            b = entries[j]
+            gram[i][j] = gram[j][i] = sum(
+                (value * b[v, c, r] for (v, r, c), value in a.items() if (v, c, r) in b), _ZERO
+            )
+    radical_coeffs = kernel_basis(Matrix.from_rows(gram, cols=n))
     radical_dim = len(radical_coeffs)
     return EndAlgebra(
         rep=x,
         basis=basis,
-        multiplication_table=table,
         radical_dim=radical_dim,
         semisimple_quotient_dim=n - radical_dim,
-        identity_coeffs=identity_coeffs,
         radical_coeffs=radical_coeffs,
     )
 
 
 # ---------------------------------------------------------------------------
-# Idempotents, splitting, indecomposability
+# Primary decomposition, splitting, indecomposability
 
 INDECOMPOSABLE = "indecomposable"
 DECOMPOSABLE = "decomposable"
@@ -500,25 +462,8 @@ def _poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
     return _poly_monic(a)
 
 
-def _poly_xgcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Monic g and u, v with u p + v q = g."""
-    a, b = _poly_trim(list(p)), _poly_trim(list(q))
-    ua, va = [_ONE], []
-    ub, vb = [], [_ONE]
-    while b:
-        quot, r = _poly_divmod(a, b)
-        a, b = b, r
-        ua, ub = ub, _poly_sub(ua, _poly_mul(quot, ub))
-        va, vb = vb, _poly_sub(va, _poly_mul(quot, vb))
-    if not a:
-        return [], [], []
-    lead = a[-1]
-    inv = _ONE / lead
-    return (
-        [c * inv for c in a],
-        [c * inv for c in ua],
-        [c * inv for c in va],
-    )
+def _poly_lcm(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+    return _poly_monic(_poly_divmod(_poly_mul(p, q), _poly_gcd(p, q))[0])
 
 
 def _poly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
@@ -547,44 +492,44 @@ def _squarefree_blocks(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]
     return blocks
 
 
-def _rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial, ascending."""
-    p = _poly_trim(list(p))
-    if len(p) <= 1:
-        return []
+# The rational-root search factors |a0| and |an| of the integer form by trial
+# division up to their square roots and tries every divisor pair, so it is
+# only attempted when |a0 * an| is at most this.
+_ROOT_SEARCH_LIMIT = 10**12
+
+
+def _rational_roots(p: Sequence[Fraction]) -> list[Fraction] | None:
+    """All rational roots of a nonzero polynomial, ascending; None when its
+    integer form has |a0 * an| above _ROOT_SEARCH_LIMIT (nothing is tried)."""
+    work = _poly_trim(list(p))
     roots = []
-    work = list(p)
-    shift = 0
-    while work[0] == 0:
-        shift += 1
-        work = work[1:]
-    if shift:
+    if len(work) > 1 and work[0] == 0:
         roots.append(_ZERO)
-    if len(work) > 1:
-        denom_lcm = 1
-        for c in work:
-            denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in work]
-        a0, an = abs(ints[0]), abs(ints[-1])
-        for num in _divisors(a0):
-            for den in _divisors(an):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if cand in roots:
-                        continue
-                    if _poly_eval_scalar(work, cand) == 0:
-                        roots.append(cand)
+        while work[0] == 0:
+            work = work[1:]
+    if len(work) <= 1:
+        return roots
+    scale = lcm(*(c.denominator for c in work))
+    ints = [int(c * scale) for c in work]
+    a0, an = abs(ints[0]), abs(ints[-1])
+    if a0 * an > _ROOT_SEARCH_LIMIT:
+        return None
+    for num in _divisors(a0):
+        for den in _divisors(an):
+            if gcd(num, den) != 1:
+                continue
+            for signed in (num, -num):
+                # den^deg p(signed / den), by Horner on the homogenized form
+                acc, power = 0, 1
+                for c in reversed(ints):
+                    acc = acc * signed + c * power
+                    power *= den
+                if acc == 0:
+                    roots.append(Fraction(signed, den))
     return sorted(roots)
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
     out = []
     d = 1
     while d * d <= n:
@@ -596,198 +541,105 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _poly_eval_scalar(p: Sequence[Fraction], t: Fraction) -> Fraction:
-    acc = _ZERO
+def _coprime_factors(minpoly: list[Fraction]) -> list[list[Fraction]] | None:
+    """minpoly as a product of pairwise coprime factors: (t - r)^i for each
+    rational root r of a square-free block f_i, and the rest of f_i to the
+    power i.  None when a root search is over its limit."""
+    factors = []
+    for f, mult in _squarefree_blocks(minpoly):
+        roots = _rational_roots(f)
+        if roots is None:
+            return None
+        for r in roots:
+            linear = [-r, _ONE]
+            f = _poly_divmod(f, linear)[0]
+            factors.append(_poly_power(linear, mult))
+        if len(f) > 1:
+            factors.append(_poly_power(f, mult))
+    return factors
+
+
+def _poly_power(p: list[Fraction], k: int) -> list[Fraction]:
+    out = [_ONE]
+    for _ in range(k):
+        out = _poly_mul(out, p)
+    return out
+
+
+def _poly_at(p: Sequence[Fraction], m: Matrix) -> Matrix:
+    """Horner evaluation of a polynomial at a square matrix."""
+    d = m.rows
+    acc = Matrix.zero(d, d)
     for c in reversed(p):
-        acc = acc * t + c
+        acc = acc * m
+        acc = Matrix.from_rows([[a + c if i == j else a for j, a in enumerate(acc.row(i))] for i in range(d)], cols=d)
     return acc
-
-
-def _poly_eval_graded(p: Sequence[Fraction], phi: GradedMap, one: GradedMap) -> GradedMap:
-    """Horner evaluation of a polynomial at a graded endomorphism."""
-    acc = {v: Matrix.zero(m.rows, m.cols) for v, m in one.items()}
-    for c in reversed(p):
-        acc = _gm_compose(acc, phi)
-        if c != 0:
-            acc = _gm_add(acc, _gm_scale(c, one))
-    return acc
-
-
-def _graded_block(g: GradedMap) -> Matrix:
-    return block_diag([g[v] for v in sorted(g)])
 
 
 def _minimal_polynomial(m: Matrix) -> list[Fraction]:
-    """Minimal polynomial of a square matrix (monic, low-to-high coefficients)."""
-    d = m.rows
-    if d == 0:
-        return [_ONE]
-    powers = [Matrix.identity(d)]
-    vecs = [tuple(powers[0].row(i)[j] for i in range(d) for j in range(d))]
-    while True:
-        nxt = powers[-1] * m
-        v = tuple(nxt.row(i)[j] for i in range(d) for j in range(d))
-        stacked = Matrix.from_columns(vecs, rows=d * d)
-        coeffs = solve(stacked, v)
-        if coeffs is not None:
-            # m^k = sum coeffs_j m^j  =>  minpoly = t^k - sum coeffs_j t^j
-            poly = [-c for c in coeffs] + [_ONE]
-            return _poly_trim(poly)
-        powers.append(nxt)
-        vecs.append(v)
+    """Minimal polynomial of a square matrix (monic, low-to-high coefficients).
 
-
-def _support_components(x: QuiverRep) -> list[list[int]]:
-    """Connected components of the support under nonzero arrow maps."""
-    support = [v for v in x.window.vertices() if x.dim(v) > 0]
-    comps = []
-    seen: set[int] = set()
-    support_set = set(support)
-    for start in support:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in (v - 1, v + 1):
-                if u in seen or u not in support_set:
-                    continue
-                i = min(u, v)
-                linked = not x.map(Arrow(i)).is_zero() or not x.map(Arrow(i, reverse=True)).is_zero()
-                if linked:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _coprime_split(minpoly: list[Fraction]) -> tuple[list[Fraction], list[Fraction]] | None:
-    """A factorization minpoly = A * B into coprime nonconstant factors, found
-    via square-free decomposition and rational-root extraction."""
-    if len(minpoly) <= 2:
-        return None
-    blocks = _squarefree_blocks(minpoly)
-    if len(blocks) >= 2:
-        f, mult = blocks[0]
-        a = [_ONE]
-        for _ in range(mult):
-            a = _poly_mul(a, f)
-        b, rem = _poly_divmod(minpoly, a)
-        assert not rem
-        return a, b
-    for root in _rational_roots(minpoly):
-        linear = [-root, _ONE]
-        a = [_ONE]
-        rest = list(minpoly)
-        while True:
-            quot, rem = _poly_divmod(rest, linear)
-            if rem:
-                break
-            a = _poly_mul(a, linear)
-            rest = quot
-        if len(rest) > 1:
-            return a, rest
-    return None
-
-
-def _spectral_idempotent(phi: GradedMap, one: GradedMap) -> GradedMap | None:
-    """Exact idempotent from a coprime factorization of the minimal polynomial
-    of phi, via Bezout coefficients; None if no such factorization is found."""
-    minpoly = _minimal_polynomial(_graded_block(phi))
-    split_factors = _coprime_split(minpoly)
-    if split_factors is None:
-        return None
-    a, b = split_factors
-    _, u, v = _poly_xgcd(a, b)
-    e = _poly_eval_graded(_poly_mul(v, b), phi, one)
-    return e
-
-
-def _lift_idempotent(e: GradedMap, one: GradedMap, max_iter: int) -> GradedMap | None:
-    """Newton-style lifting e <- 3e^2 - 2e^3 until exactly idempotent.
-
-    Converges when e is idempotent modulo the (nilpotent) radical."""
-    for _ in range(max_iter):
-        sq = _gm_compose(e, e)
-        if _gm_equal(sq, e):
-            return e
-        cube = _gm_compose(sq, e)
-        e = _gm_sub(_gm_scale(Fraction(3), sq), _gm_scale(Fraction(2), cube))
-    sq = _gm_compose(e, e)
-    return e if _gm_equal(sq, e) else None
-
-
-def _nontrivial(e: GradedMap, one: GradedMap) -> bool:
-    return not _gm_is_zero(e) and not _gm_equal(e, one)
-
-
-def _find_idempotent(x: QuiverRep, end: EndAlgebra) -> GradedMap | None:
-    """Deterministic search for a nontrivial idempotent endomorphism.
-
-    Order: exact idempotents among the Hom basis elements; 0/1 projections
-    onto weight blocks (connected components of the support); pairwise
-    products of basis elements; spectral idempotents built from minimal
-    polynomials (square-free decomposition, rational roots, Bezout); finally
-    radical lifting of candidates idempotent modulo the radical.
+    The powers I, m, ..., m^d are linearly dependent.  The first free column
+    k of their stacked entries is the degree, and every later column is free
+    too, so the first pivot-normalized kernel vector (1 at t^k, 0 above) is
+    the polynomial.
     """
-    one = graded_identity(x)
-    basis = end.basis
+    d = m.rows
+    powers = [Matrix.identity(d)]
+    for _ in range(d):
+        powers.append(powers[-1] * m)
+    stacked = Matrix.from_columns([[a for r in range(d) for a in p.row(r)] for p in powers], rows=d * d)
+    first = kernel_basis(stacked)[0]
+    return _poly_trim(list(first))
 
-    for g in basis:
-        if _gm_equal(_gm_compose(g, g), g) and _nontrivial(g, one):
-            return g
 
-    comps = _support_components(x)
-    if len(comps) > 1:
-        first = set(comps[0])
-        e = {
-            v: Matrix.identity(x.dim(v)) if v in first else Matrix.zero(x.dim(v), x.dim(v))
-            for v in x.window.vertices()
-        }
-        return e
-
-    for gi in basis:
-        for gj in basis:
-            if gi is gj:
-                continue
-            g = _gm_compose(gi, gj)
-            if _gm_equal(_gm_compose(g, g), g) and _nontrivial(g, one):
-                return g
-
-    candidates: list[GradedMap] = list(basis)
-    combo = None
-    for weight, g in enumerate(basis, start=1):
-        scaled = _gm_scale(Fraction(weight), g)
-        combo = scaled if combo is None else _gm_add(combo, scaled)
-    if combo is not None:
-        candidates.append(combo)
+def _candidates(basis: list[GradedMap]):
+    """The End basis in order, then 8 seeded combinations, made on demand."""
+    yield from basis
     rng = random.Random(0)
     for _ in range(8):
-        mix = None
-        for g in basis:
-            scaled = _gm_scale(Fraction(rng.randint(-3, 3)), g)
-            mix = scaled if mix is None else _gm_add(mix, scaled)
-        if mix is not None:
-            candidates.append(mix)
+        yield _combination(basis, [rng.randint(-3, 3) for _ in basis])
 
-    for phi in candidates:
-        e = _spectral_idempotent(phi, one)
-        if e is not None and _nontrivial(e, one):
-            assert _gm_equal(_gm_compose(e, e), e)
-            return e
 
-    max_iter = 8 + x.total_dim
-    for phi in candidates:
-        defect = _gm_sub(_gm_compose(phi, phi), phi)
-        if _gm_is_zero(defect):
+def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[dict[int, Matrix]] | None:
+    """The primary decomposition of x under the first candidate endomorphism
+    phi whose minimal polynomial has two or more coprime factors f_i.
+
+    Each component is ker f_i(phi), given by a column basis per vertex; it is
+    a submodule because phi commutes with the arrows, and x is the direct sum
+    of the components (Fitting's lemma).  phi is graded, so its minimal
+    polynomial is the lcm of those of its blocks.  None when no candidate
+    splits.
+    """
+    vertices = list(x.window.vertices())
+    for phi in _candidates(end.basis):
+        minpoly = [_ONE]
+        for block in {tuple(_minimal_polynomial(phi[v])) for v in vertices}:
+            minpoly = _poly_lcm(minpoly, block)
+        factors = _coprime_factors(minpoly)
+        if factors is None or len(factors) < 2:
             continue
-        lifted = _lift_idempotent(phi, one, max_iter)
-        if lifted is not None and _nontrivial(lifted, one) and intertwines(x, x, lifted):
-            return lifted
+        components = [
+            {v: Matrix.from_columns(kernel_basis(_poly_at(f, phi[v])), rows=x.dim(v)) for v in vertices}
+            for f in factors
+        ]
+        for v in vertices:
+            if sum(c[v].cols for c in components) != x.dim(v):
+                raise AssertionError(f"primary components do not fill weight {v}")
+        return components
     return None
+
+
+def _projection(x: QuiverRep, components: list[dict[int, Matrix]]) -> GradedMap:
+    """The idempotent onto the first component along the others."""
+    e = {}
+    for v in x.window.vertices():
+        n = x.dim(v)
+        first = components[0][v]
+        columns = [c[v].col(j) for c in components for j in range(c[v].cols)]
+        coords = inverse(Matrix.from_columns(columns, rows=n))
+        e[v] = first * Matrix.from_rows([coords.row(i) for i in range(first.cols)], cols=n)
+    return e
 
 
 def is_indecomposable(x: QuiverRep) -> IndecomposabilityResult:
@@ -795,76 +647,71 @@ def is_indecomposable(x: QuiverRep) -> IndecomposabilityResult:
 
     "indecomposable" is only reported when the semisimple quotient of the
     endomorphism algebra has dimension 1 (a local algebra), which is valid
-    over any extension field as well.  When a nontrivial idempotent is found
-    the verdict is "decomposable" with the idempotent as witness.  Otherwise
-    the question could only be settled over an extension of Q and the verdict
-    is left unresolved.
+    over any extension field as well.  When a primary decomposition splits x
+    the verdict is "decomposable", with the projection onto its first
+    component as the idempotent witness.  Otherwise the question could only
+    be settled over an extension of Q and the verdict is left unresolved.
     """
     if x.total_dim == 0:
         raise ValueError("indecomposability of the zero representation")
     end = end_algebra(x)
     if end.semisimple_quotient_dim == 1:
         return IndecomposabilityResult(INDECOMPOSABLE)
-    e = _find_idempotent(x, end)
-    if e is not None:
-        return IndecomposabilityResult(DECOMPOSABLE, idempotent=e)
+    components = _primary_components(x, end)
+    if components is not None:
+        return IndecomposabilityResult(DECOMPOSABLE, idempotent=_projection(x, components))
     return IndecomposabilityResult(UNRESOLVED)
 
 
-def split(x: QuiverRep) -> tuple[QuiverRep, QuiverRep] | None:
-    """Split off a direct summand along a nontrivial idempotent, if one is
-    found; the two parts restrict x to the image of e and of 1 - e."""
+def split(x: QuiverRep) -> tuple[QuiverRep, ...] | None:
+    """The primary components of x as two or more representations, or None
+    when End(x) is local or no candidate endomorphism splits x."""
     if x.total_dim == 0:
         return None
     end = end_algebra(x)
     if end.semisimple_quotient_dim == 1:
         return None
-    e = _find_idempotent(x, end)
-    if e is None:
+    components = _primary_components(x, end)
+    if components is None:
         return None
-    return split_by_idempotent(x, e)
+    return tuple(_restrict(x, c) for c in components)
+
+
+def _restrict(x: QuiverRep, bases: Mapping[int, Matrix]) -> QuiverRep:
+    """x restricted to the submodule with the given column basis per vertex."""
+    dims = DimensionVector({v: bases[v].cols for v in x.window.vertices()})
+    maps = {}
+    for arrow in double_arrows(x.window):
+        y = solve_multi(bases[arrow.target], x.map(arrow) * bases[arrow.source])
+        if y is None:
+            raise ValueError("basis is not invariant under the arrows; not a submodule")
+        maps[arrow.name] = y
+    return QuiverRep(x.window, dims, maps)
 
 
 def split_by_idempotent(x: QuiverRep, e: GradedMap) -> tuple[QuiverRep, QuiverRep]:
     """Decompose x as image(e) + image(1-e) for an idempotent intertwiner e."""
-    one = graded_identity(x)
-    complement = _gm_sub(one, e)
-    bases = {}
-    for v in x.window.vertices():
-        b1 = column_space_basis(e[v])
-        b2 = column_space_basis(complement[v])
-        if b1.cols + b2.cols != x.dim(v):
-            raise ValueError("not an idempotent: image and co-image do not fill the space")
-        bases[v] = (b1, b2)
-
-    def restricted(which: int) -> QuiverRep:
-        dims = DimensionVector({v: bases[v][which].cols for v in x.window.vertices()})
-        maps = {}
-        for arrow in double_arrows(x.window):
-            b_src = bases[arrow.source][which]
-            b_tgt = bases[arrow.target][which]
-            image = x.map(arrow) * b_src
-            y = solve_multi(b_tgt, image)
-            if y is None:
-                raise ValueError("image basis is not invariant; e is not an intertwiner")
-            maps[arrow.name] = y
-        return QuiverRep(x.window, dims, maps)
-
-    return restricted(0), restricted(1)
+    vertices = x.window.vertices()
+    image = {v: column_space_basis(e[v]) for v in vertices}
+    coimage = {v: column_space_basis(Matrix.identity(x.dim(v)) - e[v]) for v in vertices}
+    if any(image[v].cols + coimage[v].cols != x.dim(v) for v in vertices):
+        raise ValueError("not an idempotent: image and co-image do not fill the space")
+    return _restrict(x, image), _restrict(x, coimage)
 
 
 def decompose(x: QuiverRep) -> list[QuiverRep]:
     """Full splitting into summands no further split is found for.
 
-    With exact idempotents this realizes the Krull-Schmidt decomposition at
-    the scales this package targets; unresolved summands are returned as-is.
+    Every split is a primary decomposition, so this realizes the
+    Krull-Schmidt decomposition at the scales this package targets;
+    unresolved summands are returned as-is.
     """
     if x.total_dim == 0:
         return []
     parts = split(x)
     if parts is None:
         return [x]
-    return decompose(parts[0]) + decompose(parts[1])
+    return [summand for part in parts for summand in decompose(part)]
 
 
 def direct_sum(x: QuiverRep, y: QuiverRep) -> QuiverRep:
@@ -883,11 +730,18 @@ def direct_sum(x: QuiverRep, y: QuiverRep) -> QuiverRep:
 
 
 def _combination(basis: list[GradedMap], coeffs: Sequence[Fraction | int]) -> GradedMap:
-    out = None
-    for c, g in zip(coeffs, basis):
-        scaled = _gm_scale(frac(c), g)
-        out = scaled if out is None else _gm_add(out, scaled)
-    assert out is not None
+    """sum c_i basis_i, accumulated in one pass over each vertex's entries."""
+    terms = [(frac(c), g) for c, g in zip(coeffs, basis) if c]
+    out = {}
+    for v, m in basis[0].items():
+        acc = [_ZERO] * (m.rows * m.cols)
+        for c, g in terms:
+            for r in range(m.rows):
+                base = r * m.cols
+                for k, a in enumerate(g[v].row(r)):
+                    if a:
+                        acc[base + k] += c * a
+        out[v] = Matrix(m.rows, m.cols, acc)
     return out
 
 

@@ -1,11 +1,12 @@
 import json
+import random
 
 import pytest
 
 from e2quiver.cli import main
 from e2quiver.euclid import EuclideanModule, from_quiver, to_quiver
 from e2quiver.moduli import Partition, framed_point, young_module
-from e2quiver.preproj import QuiverRep, direct_sum
+from e2quiver.preproj import QuiverRep, apply_gv, direct_sum, random_gv
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +75,13 @@ def test_enumerate_thin_with_decomposables(capsys):
     docs = run_json(capsys, "enumerate-thin", "--window", "0", "2", "--include-decomposables")
     assert len(docs) == 3 ** 2
     assert sum(1 for d in docs if d["indecomposable"]) == 4
+
+
+def test_enumerate_thin_empty_window_exits_1(capsys):
+    code, out, err = run_cli(capsys, "enumerate-thin", "--window", "0", "-1")
+    assert code == 1
+    assert "empty window" in json.loads(out)["error"]
+    assert err == ""
 
 
 def test_to_quiver_round_trip(capsys, hook_module_path):
@@ -167,6 +175,17 @@ def test_decompose_command(capsys, tmp_path):
     assert doc["count"] == 2
     assert doc["complete"] is True
     assert all(s["verdict"] == "indecomposable" for s in doc["summands"])
+
+
+def test_decompose_output_is_deterministic(capsys, tmp_path):
+    thin = [QuiverRep.from_json_dict(d) for d in run_json(capsys, "enumerate-thin", "--window", "0", "2")]
+    total = direct_sum(direct_sum(thin[0], thin[3]), thin[0])
+    x = apply_gv(total, random_gv(total, random.Random(4)))
+    path = write_json(tmp_path / "sum.json", x.to_json_dict())
+    _, out1, _ = run_cli(capsys, "decompose", "--module", path)
+    _, out2, _ = run_cli(capsys, "decompose", "--module", path)
+    assert json.loads(out1)["count"] == 3
+    assert out1 == out2
 
 
 def test_end_algebra_command(capsys, tmp_path):

@@ -1,14 +1,19 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from e2quiver.linalg import Matrix, rank
+from e2quiver.linalg import Matrix, kernel_basis, rank, solve, solve_multi
 from e2quiver.preproj import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
+    UNRESOLVED,
     QuiverRep,
     _HomLayout,
+    _rational_roots,
     apply_gv,
     check_relations,
     decompose,
@@ -25,6 +30,7 @@ from e2quiver.preproj import (
     split_by_idempotent,
     total_matrix,
 )
+from e2quiver.moduli import enumerate_thin_indecomposables
 from e2quiver.quiver import DimensionVector, Window
 
 ONE = Matrix.from_rows([[1]])
@@ -190,26 +196,60 @@ def test_end_of_two_step_module():
     assert (end.dim, end.radical_dim, end.semisimple_quotient_dim) == (1, 0, 1)
 
 
+def _flat(g):
+    return tuple(a for v in sorted(g) for r in range(g[v].rows) for a in g[v].row(r))
+
+
+def multiplication_table(end):
+    """Structure constants of End, the reference oracle: table[i][j][k] is the
+    coefficient of basis[k] in the composition basis[i] o basis[j]."""
+    basis, n = end.basis, end.dim
+    size = len(_flat(basis[0]))
+    products = [{v: basis[i][v] * basis[j][v] for v in basis[i]} for i in range(n) for j in range(n)]
+    coeffs = solve_multi(
+        Matrix.from_columns([_flat(g) for g in basis], rows=size),
+        Matrix.from_columns([_flat(p) for p in products], rows=size),
+    )
+    assert coeffs is not None, "End basis is not closed under composition"
+    return [[[coeffs[k, i * n + j] for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+def oracle_radical_dim(end):
+    """Radical dimension from the trace form of left multiplication on End
+    itself: a is radical iff trace(L_{ab}) = 0 for every b."""
+    table, n = multiplication_table(end), end.dim
+    left_traces = [sum((table[k][m][m] for m in range(n)), Fraction(0)) for k in range(n)]
+    gram = Matrix.from_rows(
+        [[sum((table[i][j][k] * left_traces[k] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)],
+        cols=n,
+    )
+    return len(kernel_basis(gram))
+
+
 def test_end_identity_in_span(thin16):
     end = end_algebra(direct_sum(thin16[0], thin16[5]))
+    ident = graded_identity(end.rep)
+    size = len(_flat(ident))
+    coeffs = solve(Matrix.from_columns([_flat(g) for g in end.basis], rows=size), _flat(ident))
+    assert coeffs is not None
     combo = None
-    for c, g in zip(end.identity_coeffs, end.basis):
+    for c, g in zip(coeffs, end.basis):
         scaled = {v: m.scale(c) for v, m in g.items()}
         combo = scaled if combo is None else {v: combo[v] + scaled[v] for v in combo}
-    ident = graded_identity(end.rep)
     assert all(combo[v] == ident[v] for v in ident)
 
 
 def test_end_multiplication_table_is_exact():
     x = direct_sum(thin_rep(Window(0, 1), "u"), thin_rep(Window(0, 1), "u"))
     end = end_algebra(x)
+    table = multiplication_table(end)
     n = end.dim
     for i in range(n):
         for j in range(n):
             product = {v: end.basis[i][v] * end.basis[j][v] for v in end.basis[i]}
             recombined = None
             for k in range(n):
-                c = end.multiplication_table[i][j][k]
+                c = table[i][j][k]
                 scaled = {v: m.scale(c) for v, m in end.basis[k].items()}
                 recombined = scaled if recombined is None else {
                     v: recombined[v] + scaled[v] for v in recombined
@@ -321,6 +361,106 @@ def test_split_by_idempotent_rejects_non_idempotent():
     bad = {0: Matrix.from_rows([[1, 1], [0, 1]])}
     with pytest.raises(ValueError):
         split_by_idempotent(x, bad)
+
+
+@pytest.fixture(scope="module")
+def split_corpus(thin16, young_corpus):
+    """Sums of two distinct thin representatives, isotypic squares and
+    cubes, the Young modules with at most 6 boxes, and sums of two thin
+    modules hidden by a base change."""
+    from e2quiver.euclid import to_quiver
+
+    young = [to_quiver(gs.module) for _, gs in young_corpus]
+    corpus = [direct_sum(a, b) for i, a in enumerate(thin16) for b in thin16[i + 1 :]]
+    for x in thin16[::5] + young[1:4]:
+        square = direct_sum(x, x)
+        corpus += [square, direct_sum(square, x)]
+    corpus += young
+    rng = random.Random(3)
+    for _ in range(4):
+        total = direct_sum(thin16[rng.randrange(16)], thin16[rng.randrange(16)])
+        corpus.append(apply_gv(total, random_gv(total, rng)))
+    return corpus
+
+
+def test_trace_form_radical_matches_structure_constant_oracle(split_corpus):
+    for x in split_corpus:
+        end = end_algebra(x)
+        assert end.radical_dim == oracle_radical_dim(end)
+        assert end.semisimple_quotient_dim == end.dim - end.radical_dim
+
+
+def test_decomposable_witnesses_are_idempotent_intertwiners(split_corpus):
+    witnessed = 0
+    for x in split_corpus:
+        result = is_indecomposable(x)
+        if result.verdict != DECOMPOSABLE:
+            continue
+        e = result.idempotent
+        assert intertwines(x, x, e)
+        assert all(e[v] * e[v] == e[v] for v in e)
+        assert any(not m.is_zero() for m in e.values())
+        assert any(e[v] != Matrix.identity(x.dim(v)) for v in e)
+        witnessed += 1
+    assert witnessed == 120 + 14 + 4
+
+
+THIN_POOL = enumerate_thin_indecomposables(Window(0, 4)) + enumerate_thin_indecomposables(Window(-2, 1))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    picks=st.lists(st.integers(0, len(THIN_POOL) - 1), min_size=2, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_decompose_recovers_hidden_summands(picks, seed):
+    summands = [THIN_POOL[i] for i in picks]
+    total = summands[0]
+    for s in summands[1:]:
+        total = direct_sum(total, s)
+    parts = decompose(apply_gv(total, random_gv(total, random.Random(seed))))
+    assert len(parts) == len(summands)
+    unused = list(summands)
+    for part in parts:
+        match = next((i for i, s in enumerate(unused) if is_isomorphic(part, s, seed=seed)), None)
+        assert match is not None
+        unused.pop(match)
+
+
+def test_rational_roots():
+    # t (t - 2) (2t + 3) = 2t^3 - t^2 - 6t
+    assert _rational_roots([Fraction(c) for c in (0, -6, -1, 2)]) == [Fraction(-3, 2), 0, 2]
+    assert _rational_roots([Fraction(-2), Fraction(0), Fraction(1)]) == []
+
+
+def test_rational_root_search_is_bounded():
+    start = time.perf_counter()
+    assert _rational_roots([Fraction(10**24 + 7), Fraction(0), Fraction(1)]) is None
+    assert _rational_roots([Fraction(1), Fraction(0), Fraction(10**24 + 7)]) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_decompose_with_huge_eigenvalues_returns_promptly():
+    # u + d + S_0 on [0, 1] under a base change with entries near 10^9: the
+    # minimal polynomials of the End basis have constant terms of 20+ digits,
+    # which a trial division up to their square roots would never finish
+    x = direct_sum(direct_sum(thin_rep(Window(0, 1), "u"), thin_rep(Window(0, 1), "d")), simple_rep(0))
+    rng = random.Random(1)
+    g = {}
+    for v in x.window.vertices():
+        n = x.dim(v)
+        m = None
+        while m is None or rank(m) < n:
+            m = Matrix.from_rows([[rng.randint(-10**9, 10**9) for _ in range(n)] for _ in range(n)])
+        g[v] = m
+    start = time.perf_counter()
+    parts = decompose(apply_gv(x, g))
+    assert time.perf_counter() - start < 5.0
+    assert sum((p.dims for p in parts), DimensionVector()) == x.dims
+    # the splits found are genuine; what is left over is unresolved, not split wrongly
+    verdicts = sorted(is_indecomposable(p).verdict for p in parts)
+    assert all(v in (INDECOMPOSABLE, UNRESOLVED) for v in verdicts)
+    assert len(parts) >= 2
 
 
 # --- direct sums ----------------------------------------------------------------
