@@ -2,7 +2,8 @@
 
 Each invocation emits a single pretty-printed JSON document with stable key
 ordering on standard output.  Exit codes: 0 on success, 1 on domain errors
-(invalid module, relation violation), 2 on usage errors and malformed JSON
+(any ``ValueError``: invalid module, relation violation, input over a size
+limit) with a JSON error document, 2 on usage errors and malformed JSON
 (with a diagnostic on standard error).  Randomized subcommands take --seed
 and produce byte-identical output for identical seeds.
 """
@@ -21,10 +22,6 @@ from .preproj import QuiverRep
 from .quiver import DimensionVector, Window
 
 
-class DomainError(Exception):
-    """Input is well-formed JSON but not a valid object (exit code 1)."""
-
-
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -32,7 +29,7 @@ def _read_source(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -46,56 +43,41 @@ def _emit(doc) -> None:
 def _module_arg(args: argparse.Namespace) -> str:
     paths = args.module
     if len(paths) != 1:
-        raise DomainError("this command takes exactly one --module")
+        raise ValueError("this command takes exactly one --module")
     return paths[0]
 
 
 def _module_pair(args: argparse.Namespace) -> tuple[str, str]:
     paths = args.module
     if len(paths) != 2:
-        raise DomainError("this command takes --module twice (two inputs)")
+        raise ValueError("this command takes --module twice (two inputs)")
     return paths[0], paths[1]
 
 
-def _parse_with(parser, data):
-    # malformed JSON is a usage error (exit 2) and must not be caught here;
-    # a well-formed document describing an invalid object is a domain error
-    try:
-        return parser(data)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
-
-
 def _euclidean(path: str) -> EuclideanModule:
-    return _parse_with(EuclideanModule.from_json_dict, _load_json(path))
+    return EuclideanModule.from_json_dict(_load_json(path))
 
 
 def _quiver_rep(path: str) -> QuiverRep:
-    return _parse_with(QuiverRep.from_json_dict, _load_json(path))
+    return QuiverRep.from_json_dict(_load_json(path))
 
 
 def _framed(path: str) -> FramedPoint:
-    return _parse_with(FramedPoint.from_json_dict, _load_json(path))
+    return FramedPoint.from_json_dict(_load_json(path))
 
 
 def _partition(args: argparse.Namespace) -> Partition:
     data = json.loads(args.partition)
     if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-        raise DomainError("--partition expects a JSON array of integers")
-    try:
-        return Partition(tuple(data))
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+        raise ValueError("--partition expects a JSON array of integers")
+    return Partition(tuple(data))
 
 
 def _dim_vector(text: str) -> DimensionVector:
     data = json.loads(text)
     if not isinstance(data, dict):
-        raise DomainError("expected a JSON object mapping weights to multiplicities")
-    try:
-        return DimensionVector.from_json_dict(data)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+        raise ValueError("expected a JSON object mapping weights to multiplicities")
+    return DimensionVector.from_json_dict(data)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -110,20 +92,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_to_quiver(args) -> int:
     m = _euclidean(_module_arg(args))
-    try:
-        rep = euclid.to_quiver(m)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    rep = euclid.to_quiver(m)
     _emit(rep.to_json_dict())
     return 0
 
 
 def _cmd_from_quiver(args) -> int:
     rep = _quiver_rep(_module_arg(args))
-    try:
-        m = euclid.from_quiver(rep)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    m = euclid.from_quiver(rep)
     _emit(m.to_json_dict())
     return 0
 
@@ -136,10 +112,7 @@ def _cmd_shift(args) -> int:
 
 def _cmd_young(args) -> int:
     p = _partition(args)
-    try:
-        gs = moduli.young_module(p, args.weight)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    gs = moduli.young_module(p, args.weight)
     doc = {
         "module": gs.module.to_json_dict(),
         "dims": gs.module.dims.to_json_dict(),
@@ -158,11 +131,7 @@ def _cmd_residue_dims(args) -> int:
 
 
 def _cmd_enumerate_thin(args) -> int:
-    a, b = args.window
-    try:
-        window = Window(a, b)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    window = Window(*args.window)
     docs = []
     for rep in moduli.enumerate_thin_indecomposables(window):
         doc = rep.to_json_dict()
@@ -227,10 +196,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_end_algebra(args) -> int:
     x = _quiver_rep(_module_arg(args))
-    try:
-        end = preproj.end_algebra(x)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    end = preproj.end_algebra(x)
     _emit(
         {
             "dim": end.dim,
@@ -245,15 +211,12 @@ def _cmd_apply_word(args) -> int:
     m = _euclidean(_module_arg(args))
     word = json.loads(args.word)
     if not isinstance(word, list) or not all(isinstance(w, str) for w in word):
-        raise DomainError("--word expects a JSON array of letters")
+        raise ValueError("--word expects a JSON array of letters")
     raw_vector = json.loads(args.vector)
     if not isinstance(raw_vector, dict):
-        raise DomainError("--vector expects a JSON object mapping weights to coordinate arrays")
-    try:
-        v = euclid.graded_vector(raw_vector)
-        result = euclid.apply_word(m, word, v)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+        raise ValueError("--vector expects a JSON object mapping weights to coordinate arrays")
+    v = euclid.graded_vector(raw_vector)
+    result = euclid.apply_word(m, word, v)
     _emit({"result": {str(k): [str(c) for c in coords] for k, coords in sorted(result.items())}})
     return 0
 
@@ -261,7 +224,7 @@ def _cmd_apply_word(args) -> int:
 def _cmd_weight_runs(args) -> int:
     data = json.loads(args.set)
     if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-        raise DomainError("--set expects a JSON array of integers")
+        raise ValueError("--set expects a JSON array of integers")
     report = euclid.weight_runs(data)
     _emit(
         {
@@ -370,12 +333,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        _emit({"error": str(exc)})
-        return 1
     except json.JSONDecodeError as exc:
         print(f"malformed JSON input: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # a well-formed input that describes an invalid object, or one over
+        # a documented size limit
+        _emit({"error": str(exc)})
+        return 1
 
 
 def console_main() -> None:

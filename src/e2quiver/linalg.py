@@ -121,13 +121,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self._e)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            (self._e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented

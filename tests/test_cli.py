@@ -168,6 +168,52 @@ def test_iso_rejects_invalid_numbers_exits_1(capsys, tmp_path, dims, h0, hbar0):
     assert err == ""
 
 
+FLOAT_REP = {"window": [0, 1], "dims": {"0": 1, "1": 1}, "maps": {"h0": [[1.5]], "hbar0": [["0"]]}}
+FLOAT_FRAMED = {
+    "window": [0, 1],
+    "dims": {"0": 1, "1": 1},
+    "maps": {"h0": [["1"]], "hbar0": [["0"]]},
+    "framing_dims": {"0": 1},
+    "framing": {"0": [[0.5]]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("end-algebra", FLOAT_REP), ("iso", FLOAT_REP), ("decompose", FLOAT_REP), ("stable", FLOAT_FRAMED)],
+)
+def test_float_entries_exit_1(capsys, tmp_path, command, doc):
+    path = write_json(tmp_path / "float.json", doc)
+    modules = ["--module", path] * (2 if command == "iso" else 1)
+    code, out, err = run_cli(capsys, command, *modules)
+    assert code == 1
+    assert "float" in json.loads(out)["error"]
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate-thin", "--window", "0", "22"],
+        ["enumerate-thin", "--window", "0", "8", "--include-decomposables"],
+        ["iso", "--module", "{rep}", "--module", "{rep}", "--exhaustive"],
+        ["framed-iso", "--module", "{framed}", "--module", "{framed}", "--exhaustive"],
+    ],
+)
+def test_over_limit_inputs_exit_1(capsys, tmp_path, argv):
+    # three copies of the simple module: End is all 3x3 matrices, so the
+    # exhaustive grid has 4^9 points
+    cube = {"window": [0, 0], "dims": {"0": 3}, "maps": {}}
+    files = {
+        "rep": write_json(tmp_path / "rep.json", cube),
+        "framed": write_json(tmp_path / "framed.json", {**cube, "framing_dims": {"0": 1}, "framing": {}}),
+    }
+    code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+    assert code == 1
+    assert "over the limit" in json.loads(out)["error"]
+    assert err == ""
+
+
 def test_decompose_command(capsys, tmp_path):
     x = to_quiver(young_module(Partition.of(2), 0).module)
     path = write_json(tmp_path / "sum.json", direct_sum(x, x).to_json_dict())

@@ -306,6 +306,14 @@ def test_thin_decomposable_bucket():
         assert len(parts) > 1
 
 
+def test_thin_enumeration_is_bounded():
+    # 2^13 and 3^8 choices are over the limit of 4096; nothing is built
+    with pytest.raises(ValueError, match="over the limit"):
+        enumerate_thin_indecomposables(Window(0, 13))
+    with pytest.raises(ValueError, match="over the limit"):
+        enumerate_thin_decomposables(Window(0, 8))
+
+
 # --- inverting the residue profile -----------------------------------------------------------
 
 
