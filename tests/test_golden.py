@@ -12,7 +12,6 @@ After a deliberate output change, rewrite the expected files with
 
 import json
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -57,4 +56,4 @@ def _write_expected() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(_write_expected())
+    _write_expected()
