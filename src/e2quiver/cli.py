@@ -19,7 +19,7 @@ from . import euclid, moduli, preproj
 from .euclid import EuclideanModule
 from .moduli import FramedPoint, Partition
 from .preproj import QuiverRep
-from .quiver import DimensionVector, Window
+from .quiver import DimensionVector, Window, check_size, json_int
 
 
 def _read_source(path: str) -> str:
@@ -66,18 +66,17 @@ def _framed(path: str) -> FramedPoint:
     return FramedPoint.from_json_dict(_load_json(path))
 
 
-def _partition(args: argparse.Namespace) -> Partition:
-    data = json.loads(args.partition)
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-        raise ValueError("--partition expects a JSON array of integers")
-    return Partition(tuple(data))
-
-
-def _dim_vector(text: str) -> DimensionVector:
+def _int_array(text: str, flag: str) -> list[int]:
     data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object mapping weights to multiplicities")
-    return DimensionVector.from_json_dict(data)
+    if not isinstance(data, list):
+        raise ValueError(f"{flag} expects a JSON array of integers")
+    return [json_int(v, f"{flag} entry") for v in data]
+
+
+def _partition(args: argparse.Namespace) -> Partition:
+    parts = _int_array(args.partition, "--partition")
+    check_size("partition size", sum(parts))
+    return Partition(tuple(parts))
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -153,8 +152,8 @@ def _cmd_stable(args) -> int:
 
 
 def _cmd_dim_formula(args) -> int:
-    v = _dim_vector(args.v)
-    w = _dim_vector(args.w)
+    v = DimensionVector.from_json_dict(json.loads(args.v))
+    w = DimensionVector.from_json_dict(json.loads(args.w))
     value = moduli.nakajima_dim(v, w)
     _emit({"dimension": value, "empty_advisory": value < 0})
     return 0
@@ -212,20 +211,14 @@ def _cmd_apply_word(args) -> int:
     word = json.loads(args.word)
     if not isinstance(word, list) or not all(isinstance(w, str) for w in word):
         raise ValueError("--word expects a JSON array of letters")
-    raw_vector = json.loads(args.vector)
-    if not isinstance(raw_vector, dict):
-        raise ValueError("--vector expects a JSON object mapping weights to coordinate arrays")
-    v = euclid.graded_vector(raw_vector)
+    v = euclid.graded_vector(json.loads(args.vector))
     result = euclid.apply_word(m, word, v)
     _emit({"result": {str(k): [str(c) for c in coords] for k, coords in sorted(result.items())}})
     return 0
 
 
 def _cmd_weight_runs(args) -> int:
-    data = json.loads(args.set)
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-        raise ValueError("--set expects a JSON array of integers")
-    report = euclid.weight_runs(data)
+    report = euclid.weight_runs(_int_array(args.set, "--set"))
     _emit(
         {
             "runs": [[s, e] for s, e in report.runs],

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, SparseRow, frac, sparse_kernel
 from .preproj import QuiverRep, check_relations
-from .quiver import Arrow, DimensionVector, window_of_support
+from .quiver import Arrow, DimensionVector, check_size, json_object, window_of_support
 
 _ZERO = Fraction(0)
 
@@ -90,22 +90,25 @@ class EuclideanModule:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "EuclideanModule":
-        try:
-            dims = DimensionVector.from_json_dict(data.get("dims", {}))
-            p_plus = {int(k): Matrix.from_lists(m) for k, m in data.get("p_plus", {}).items()}
-            p_minus = {int(k): Matrix.from_lists(m) for k, m in data.get("p_minus", {}).items()}
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed module document: {exc}") from exc
+    def from_json_dict(cls, data: object) -> "EuclideanModule":
+        data = json_object(data, "module")
+        dims = DimensionVector.from_json_dict(data.get("dims", {}))
+        support = dims.support()
+        if support:
+            check_size("window width", support[-1] - support[0])
+        check_size("sum of squared dimensions", sum(d * d for _, d in dims.items()))
+        p_plus = {int(k): Matrix.from_lists(m) for k, m in json_object(data.get("p_plus", {}), "p_plus").items()}
+        p_minus = {int(k): Matrix.from_lists(m) for k, m in json_object(data.get("p_minus", {}), "p_minus").items()}
         return cls(dims, p_plus, p_minus)
 
 
 def validate(m: EuclideanModule) -> list[str]:
     """Violations of the module axioms; empty iff m is a valid module.
 
-    Checks map shapes against the weight-space dimensions and the commutator
-    condition: lowering after raising equals raising after lowering on every
-    weight space of the support closure.  Problems are reported, not thrown.
+    Checks map shapes against the weight-space dimensions, then the
+    commutator condition, which the dictionary turns into the
+    Gelfand-Ponomarev relation: its violations are read off check_relations
+    of the to_quiver image.  Problems are reported, not thrown.
     """
     violations = []
     for k, mat in sorted(m.p_plus.items()):
@@ -120,17 +123,9 @@ def validate(m: EuclideanModule) -> list[str]:
             violations.append(
                 f"p_minus at weight {k} has shape {mat.shape}, expected {expected}"
             )
-    if violations:
+    if violations or m.dims.is_zero():
         return violations
-    support = m.dims.support()
-    if not support:
-        return []
-    for k in range(support[0] - 1, support[-1] + 2):
-        down_up = m.minus(k + 1) * m.plus(k)
-        up_down = m.plus(k - 1) * m.minus(k)
-        if down_up != up_down:
-            violations.append(f"commutator violation at weight {k}")
-    return violations
+    return [f"commutator violation at weight {k}" for k in check_relations(_quiver_image(m))]
 
 
 def to_quiver(m: EuclideanModule) -> QuiverRep:
@@ -145,6 +140,11 @@ def to_quiver(m: EuclideanModule) -> QuiverRep:
         raise ValueError("invalid module: " + "; ".join(problems))
     if m.dims.is_zero():
         raise ValueError("zero module has no support window")
+    return _quiver_image(m)
+
+
+def _quiver_image(m: EuclideanModule) -> QuiverRep:
+    """The dictionary image of a nonzero module whose maps have the right shapes."""
     window = window_of_support(m.dims)
     maps = {}
     for i in window.arrow_indices():
@@ -181,8 +181,10 @@ def _canonical_vector(v: GradedVector) -> GradedVector:
     return {k: coords for k, coords in v.items() if any(c != 0 for c in coords)}
 
 
-def graded_vector(entries: Mapping[int, Sequence] ) -> GradedVector:
-    return _canonical_vector({int(k): tuple(frac(c) for c in coords) for k, coords in entries.items()})
+def graded_vector(entries: object) -> GradedVector:
+    """Read a JSON graded vector {"weight": [coordinates]}, each array as a one-row matrix."""
+    data = json_object(entries, "graded vector")
+    return _canonical_vector({int(k): Matrix.from_lists([coords]).row(0) for k, coords in data.items()})
 
 
 def apply_word(m: EuclideanModule, word: Sequence[str], v: GradedVector) -> GradedVector:

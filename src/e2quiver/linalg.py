@@ -15,6 +15,7 @@ Floats are rejected on input so a rounding error can never sneak in.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -25,23 +26,27 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# The only string form of a rational.  Decimal points, "+" signs, exponents and
+# whitespace are refused, so a string can never ask for a huge power of ten.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def frac(value: RationalLike) -> Fraction:
-    """Coerce an int, canonical string ("3", "-1/2") or Fraction to Fraction."""
+    """Coerce an int (not a bool), a Fraction or a string "-?digits(/digits)?"
+    ("3", "-1/2") to Fraction.  Other types raise TypeError; other strings and
+    zero denominators raise ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"not a rational of the form -?digits(/digits)?: {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
-
-
-def frac_str(value: Fraction) -> str:
-    """Canonical string form: "3", "-1/2"."""
-    return str(value)
 
 
 Vector = tuple[Fraction, ...]
@@ -132,15 +137,12 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return Matrix(self.rows, self.cols, (a + b for a, b in zip(self._e, other._e)))
+        return Matrix(self.rows, self.cols, (a + b if b else a for a, b in zip(self._e, other._e)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} - {other.shape}")
-        return Matrix(self.rows, self.cols, (a - b for a, b in zip(self._e, other._e)))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, (-a for a in self._e))
+        return Matrix(self.rows, self.cols, (a - b if b else a for a, b in zip(self._e, other._e)))
 
     def scale(self, c: RationalLike) -> "Matrix":
         c = frac(c)
@@ -149,9 +151,6 @@ class Matrix:
     def __mul__(self, other: Union["Matrix", RationalLike]) -> "Matrix":
         if isinstance(other, Matrix):
             return self.matmul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other: RationalLike) -> "Matrix":
         return self.scale(other)
 
     def matmul(self, other: "Matrix") -> "Matrix":
@@ -187,15 +186,23 @@ class Matrix:
 
     def to_lists(self) -> list[list[str]]:
         """Rows of canonical rational strings, for JSON interchange."""
-        return [[frac_str(v) for v in self.row(i)] for i in range(self.rows)]
+        return [[str(v) for v in self.row(i)] for i in range(self.rows)]
 
     @classmethod
-    def from_lists(cls, data: Sequence[Sequence[RationalLike]], rows: int | None = None, cols: int | None = None) -> "Matrix":
-        m = cls.from_rows([list(r) for r in data], cols=cols)
+    def from_lists(cls, data: object, rows: int | None = None, cols: int | None = None) -> "Matrix":
+        """Read a JSON matrix: an array of rows of integers and rational strings
+        (see frac).  Anything else, or another shape than asked for, raises ValueError."""
+        if not isinstance(data, list):
+            raise ValueError(f"expected an array of arrays of rationals, got {type(data).__name__}")
+        for r in data:
+            if not isinstance(r, list):
+                raise ValueError(f"expected an array of rationals, got {type(r).__name__}")
+            for v in r:
+                if type(v) is not int and type(v) is not str:
+                    raise ValueError(f"expected an exact rational, got {type(v).__name__}")
+        m = cls.from_rows(data, cols=cols)
         if rows is not None and m.rows != rows:
             raise ValueError(f"expected {rows} rows, got {m.rows}")
-        if cols is not None and m.cols != cols:
-            raise ValueError(f"expected {cols} columns, got {m.cols}")
         return m
 
     def __repr__(self) -> str:

@@ -39,7 +39,6 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
-    solve,
     solve_multi,
     sparse_kernel,
 )
@@ -47,9 +46,11 @@ from .quiver import (
     Arrow,
     DimensionVector,
     Window,
-    arrow_from_name,
+    check_size,
     double_arrows,
     gp_relation,
+    json_int,
+    json_object,
     window_of_support,
 )
 
@@ -145,29 +146,25 @@ class QuiverRep:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "QuiverRep":
-        try:
-            a, b = data["window"]
-            window = Window(int(a), int(b))
-            dims = DimensionVector.from_json_dict(data.get("dims", {}))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed representation document: {exc}") from exc
-        raw = data.get("maps", {})
+    def from_json_dict(cls, data: object) -> "QuiverRep":
+        data = json_object(data, "representation")
+        bounds = data.get("window")
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ValueError("window must be an array [a, b] of two integers")
+        window = Window(json_int(bounds[0], "window bound"), json_int(bounds[1], "window bound"))
+        check_size("window width", window.width)
+        dims = DimensionVector.from_json_dict(data.get("dims", {}))
+        check_size("sum of squared dimensions", sum(d * d for _, d in dims.items()))
+        raw = json_object(data.get("maps", {}), "maps")
         maps: dict[str, Matrix] = {}
         for arrow in double_arrows(window):
             nrows, ncols = dims[arrow.target], dims[arrow.source]
             if arrow.name in raw:
-                try:
-                    maps[arrow.name] = Matrix.from_lists(raw[arrow.name], rows=nrows, cols=ncols)
-                except TypeError as exc:
-                    raise ValueError(f"malformed map {arrow.name}: {exc}") from exc
+                maps[arrow.name] = Matrix.from_lists(raw[arrow.name], rows=nrows, cols=ncols)
             elif nrows > 0 and ncols > 0:
                 raise ValueError(f"missing map {arrow.name} between nonzero weight spaces")
         unknown = set(raw) - {arrow.name for arrow in double_arrows(window)}
         if unknown:
-            # validate the names at least parse as arrows before rejecting
-            for name in sorted(unknown):
-                arrow_from_name(name)
             raise ValueError(f"maps for arrows outside the window: {sorted(unknown)}")
         return cls(window, dims, maps)
 
@@ -576,12 +573,15 @@ def _minimal_polynomial(m: Matrix) -> list[Fraction]:
     return _poly_trim(list(first))
 
 
-def _candidates(basis: list[GradedMap]):
-    """The End basis in order, then 8 seeded combinations, made on demand."""
-    yield from basis
+def _candidates(end: EndAlgebra):
+    """The End basis in order but for its radical elements (e_i among the
+    radical_coeffs; a power of t never splits), then 8 seeded combinations,
+    drawn as if none were skipped and made on demand."""
+    radical = {v.index(_ONE) for v in end.radical_coeffs if sum(1 for c in v if c) == 1}
+    yield from (g for i, g in enumerate(end.basis) if i not in radical)
     rng = random.Random(0)
     for _ in range(8):
-        yield _combination(basis, [rng.randint(-3, 3) for _ in basis])
+        yield _combination(end.basis, [rng.randint(-3, 3) for _ in end.basis])
 
 
 def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[dict[int, Matrix]] | None:
@@ -595,7 +595,7 @@ def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[dict[int, Matrix]
     splits.
     """
     vertices = list(x.window.vertices())
-    for phi in _candidates(end.basis):
+    for phi in _candidates(end):
         minpoly = [_ONE]
         for block in {tuple(_minimal_polynomial(phi[v])) for v in vertices}:
             minpoly = _poly_lcm(minpoly, block)

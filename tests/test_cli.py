@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import e2quiver
 from e2quiver.cli import main
 from e2quiver.euclid import EuclideanModule, from_quiver, to_quiver
 from e2quiver.moduli import Partition, framed_point, young_module
@@ -212,6 +217,86 @@ def test_over_limit_inputs_exit_1(capsys, tmp_path, argv):
     assert code == 1
     assert "over the limit" in json.loads(out)["error"]
     assert err == ""
+
+
+REP = {"window": [0, 1], "dims": {"0": 1, "1": 1}, "maps": {"h0": [["1"]], "hbar0": [["0"]]}}
+FRAMED = {**REP, "framing_dims": {"0": 1}, "framing": {"0": [["1"]]}}
+HOOK = {"dims": {"-1": 1, "0": 1, "1": 1}, "p_plus": {"-1": [["1"]]}, "p_minus": {"1": [["1"]]}}
+
+# Inputs that once ended in a traceback, were silently misread (exit 0), or
+# ran for longer than 10 s; "{doc}" stands for a file holding the document.
+PROBES = {
+    "window_float": (["end-algebra", "--module", "{doc}"], {**REP, "window": [0.7, 1]}),
+    "window_string_bool": (["from-quiver", "--module", "{doc}"], {**REP, "window": ["0", True]}),
+    "maps_number": (["from-quiver", "--module", "{doc}"], {**REP, "maps": 5}),
+    "map_string": (["from-quiver", "--module", "{doc}"], {**REP, "maps": {"h0": "1", "hbar0": [["0"]]}}),
+    "map_bool": (["from-quiver", "--module", "{doc}"], {**REP, "maps": {"h0": [[True]], "hbar0": [["0"]]}}),
+    "map_exponent": (["from-quiver", "--module", "{doc}"], {**REP, "maps": {"h0": [["1e99999999"]], "hbar0": [["0"]]}}),
+    "framing_array": (["stable", "--module", "{doc}"], {**FRAMED, "framing": [1]}),
+    "vector_float": (["apply-word", "--module", "{doc}", "--word", '["P+"]', "--vector", '{"0": [1.5]}'], HOOK),
+    "vector_number": (["apply-word", "--module", "{doc}", "--word", '["P+"]', "--vector", '{"0": 1}'], HOOK),
+    "partition_bool": (["young", "--partition", "[true]"], None),
+    "set_bool": (["weight-runs", "--set", "[true, 2]"], None),
+    "thin_wide": (["enumerate-thin", "--window", "0", "1000000000000"], None),
+    "window_wide": (["end-algebra", "--module", "{doc}"], {"window": [0, 1000000000], "dims": {"0": 1}, "maps": {}}),
+    "dims_huge": (["end-algebra", "--module", "{doc}"], {"window": [0, 0], "dims": {"0": 100000000}, "maps": {}}),
+    "framing_dims_huge": (["stable", "--module", "{doc}"], {**FRAMED, "framing_dims": {"0": 100000000}, "framing": {}}),
+    "young_huge": (["young", "--partition", "[100000000]"], None),
+    "residue_dims_huge": (["residue-dims", "--partition", "[1000000000]"], None),
+}
+
+# Runs the probes one after another through cli.main in one child process
+# under a 2 GB address-space cap, printing (exit code, stdout, stderr) per
+# probe as it finishes; an uncaught exception's traceback is its stderr.
+PROBE_CHILD = """
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from e2quiver.cli import main
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = None
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
+"""
+PROBE_TIMEOUT_S = 20
+
+
+@pytest.fixture(scope="module")
+def probe_results(tmp_path_factory):
+    """(exit code, stdout, stderr) per probe; probes that had not finished
+    when the child was stopped at the timeout are missing."""
+    folder = tmp_path_factory.mktemp("probes")
+    runs = []
+    for name, (argv, doc) in PROBES.items():
+        path = write_json(folder / f"{name}.json", doc) if doc is not None else ""
+        runs.append([a.replace("{doc}", path) for a in argv])
+    src = str(Path(e2quiver.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE_CHILD],
+            input=json.dumps(runs).encode(),
+            capture_output=True,
+            timeout=PROBE_TIMEOUT_S,
+            env={**os.environ, "PYTHONPATH": src},
+            check=False,
+        )
+        stdout = proc.stdout
+    except subprocess.TimeoutExpired as exc:
+        stdout = exc.stdout or b""
+    lines = stdout.decode().splitlines()
+    return {name: json.loads(line) for name, line in zip(PROBES, lines)}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_probe_exits_1_with_json_error(probe_results, name):
+    assert name in probe_results, f"no result within {PROBE_TIMEOUT_S} s"
+    code, out, err = probe_results[name]
+    assert (code, err) == (1, "")
+    assert list(json.loads(out)) == ["error"]
 
 
 def test_decompose_command(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,61 @@ def test_commutator_violation_detected():
 def test_shape_violation_reported_not_thrown():
     m = EuclideanModule(DimensionVector({0: 1}), p_plus={0: Matrix.from_rows([[1, 2]])})
     assert any("shape" in p for p in validate(m))
+
+
+def old_validate(m: EuclideanModule) -> list[str]:
+    """validate as it was when it multiplied the maps itself: the shape
+    checks, then the commutator on every weight of the support closure."""
+    violations = []
+    for k, mat in sorted(m.p_plus.items()):
+        expected = (m.dims[k + 1], m.dims[k])
+        if mat.shape != expected:
+            violations.append(f"p_plus at weight {k} has shape {mat.shape}, expected {expected}")
+    for k, mat in sorted(m.p_minus.items()):
+        expected = (m.dims[k - 1], m.dims[k])
+        if mat.shape != expected:
+            violations.append(f"p_minus at weight {k} has shape {mat.shape}, expected {expected}")
+    if violations:
+        return violations
+    support = m.dims.support()
+    if not support:
+        return []
+    for k in range(support[0] - 1, support[-1] + 2):
+        if m.minus(k + 1) * m.plus(k) != m.plus(k - 1) * m.minus(k):
+            violations.append(f"commutator violation at weight {k}")
+    return violations
+
+
+def random_module(rng: random.Random) -> EuclideanModule:
+    """Weight spaces of dimension 0-2 on a window of width 0-3, sparse or
+    dense maps with entries -1, 0, 1, and now and then a map of the wrong
+    shape, so that valid modules, commutator violations and shape
+    violations all occur."""
+    a = rng.randint(-2, 2)
+    dims = DimensionVector({k: rng.randint(0, 2) for k in range(a, a + rng.randint(0, 3) + 1)})
+    density = rng.choice((0.15, 0.5))
+
+    def random_map(rows: int, cols: int) -> Matrix:
+        if rng.random() < 0.05:
+            rows, cols = rows + rng.randint(0, 1), cols + 1
+        entries = [rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(rows * cols)]
+        return Matrix(rows, cols, entries)
+
+    weights = range(a - 1, a + 5)
+    p_plus = {k: random_map(dims[k + 1], dims[k]) for k in weights}
+    p_minus = {k: random_map(dims[k - 1], dims[k]) for k in weights}
+    return EuclideanModule(dims, p_plus, p_minus)
+
+
+def test_validate_matches_the_commutator_loop_oracle():
+    rng = random.Random(2024)
+    kinds = {"valid": 0, "commutator": 0, "shape": 0}
+    for _ in range(600):
+        m = random_module(rng)
+        expected = old_validate(m)
+        assert validate(m) == expected
+        kinds["valid" if not expected else "shape" if "shape" in expected[0] else "commutator"] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 # --- the dictionary -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -128,6 +129,33 @@ def test_relation_satisfying_thin_reps_are_nilpotent_exhaustively():
             x = QuiverRep(window, dims, maps)
             if check_relations(x) == []:
                 assert is_nilpotent(x)
+
+
+def product_is_zero(a, b, n, inner, m) -> bool:
+    """Whether a (n x inner) times b (inner x m), both flat row-major integer
+    tuples, is the zero matrix."""
+    return all(sum(a[i * inner + t] * b[t * m + j] for t in range(inner)) == 0 for i in range(n) for j in range(m))
+
+
+@pytest.mark.parametrize("d0, d1", [(1, 2), (2, 1), (2, 2)])
+def test_relation_satisfying_reps_are_nilpotent_exhaustively(d0, d1):
+    # every h0 (d1 x d0) and hbar0 (d0 x d1) with entries -1, 0, 1 on [0, 1];
+    # the relations hbar0 h0 = 0 and h0 hbar0 = 0 are tested on plain
+    # integers first, and only the points that satisfy them are built
+    k = d0 * d1
+    found = 0
+    for entries in itertools.product((-1, 0, 1), repeat=2 * k):
+        up, down = entries[:k], entries[k:]
+        if product_is_zero(down, up, d0, d1, d0) and product_is_zero(up, down, d1, d0, d1):
+            x = QuiverRep(
+                Window(0, 1),
+                DimensionVector({0: d0, 1: d1}),
+                {"h0": Matrix(d1, d0, up), "hbar0": Matrix(d0, d1, down)},
+            )
+            assert check_relations(x) == []
+            assert is_nilpotent(x)
+            found += 1
+    assert found == {(1, 2): 17, (2, 1): 17, (2, 2): 225}[d0, d1]
 
 
 # --- Hom spaces ---------------------------------------------------------------

@@ -4,7 +4,6 @@ from e2quiver.quiver import (
     Arrow,
     DimensionVector,
     Window,
-    arrow_from_name,
     double_arrows,
     gp_relation,
     window_of_support,
@@ -59,8 +58,7 @@ def test_arrow_endpoints():
     assert (h.source, h.target) == (3, 4)
     hbar = Arrow(3, reverse=True)
     assert (hbar.source, hbar.target) == (4, 3)
-    assert arrow_from_name("h3") == h
-    assert arrow_from_name("hbar-2") == Arrow(-2, reverse=True)
+    assert (h.name, Arrow(-2, reverse=True).name) == ("h3", "hbar-2")
 
 
 def test_gp_relation_left_end():
