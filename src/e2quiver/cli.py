@@ -4,14 +4,16 @@ Each invocation emits a single pretty-printed JSON document with stable key
 ordering on standard output.  Exit codes: 0 on success, 1 on domain errors
 (any ``ValueError``: invalid module, relation violation, input over a size
 limit) with a JSON error document, 2 on usage errors and malformed JSON
-(with a diagnostic on standard error).  Randomized subcommands take --seed
-and produce byte-identical output for identical seeds.
+(with a diagnostic on standard error).  When the reader closes standard
+output early the exit code is 1, with no traceback.  Randomized subcommands
+take --seed and produce byte-identical output for identical seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -324,6 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output early; what is still buffered
+        # goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

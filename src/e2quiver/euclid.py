@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, SparseRow, frac, sparse_kernel
 from .preproj import QuiverRep, check_relations
-from .quiver import Arrow, DimensionVector, check_size, json_object, window_of_support
+from .quiver import Arrow, DimensionVector, check_size, json_object, json_weight, json_weight_object, window_of_support
 
 _ZERO = Fraction(0)
 
@@ -97,8 +97,8 @@ class EuclideanModule:
         if support:
             check_size("window width", support[-1] - support[0])
         check_size("sum of squared dimensions", sum(d * d for _, d in dims.items()))
-        p_plus = {int(k): Matrix.from_lists(m) for k, m in json_object(data.get("p_plus", {}), "p_plus").items()}
-        p_minus = {int(k): Matrix.from_lists(m) for k, m in json_object(data.get("p_minus", {}), "p_minus").items()}
+        p_plus = {k: Matrix.from_lists(m) for k, m in json_weight_object(data.get("p_plus", {}), "p_plus").items()}
+        p_minus = {k: Matrix.from_lists(m) for k, m in json_weight_object(data.get("p_minus", {}), "p_minus").items()}
         return cls(dims, p_plus, p_minus)
 
 
@@ -183,8 +183,8 @@ def _canonical_vector(v: GradedVector) -> GradedVector:
 
 def graded_vector(entries: object) -> GradedVector:
     """Read a JSON graded vector {"weight": [coordinates]}, each array as a one-row matrix."""
-    data = json_object(entries, "graded vector")
-    return _canonical_vector({int(k): Matrix.from_lists([coords]).row(0) for k, coords in data.items()})
+    data = json_weight_object(entries, "graded vector")
+    return _canonical_vector({k: Matrix.from_lists([coords]).row(0) for k, coords in data.items()})
 
 
 def apply_word(m: EuclideanModule, word: Sequence[str], v: GradedVector) -> GradedVector:
@@ -216,7 +216,7 @@ def apply_word(m: EuclideanModule, word: Sequence[str], v: GradedVector) -> Grad
             for k, coords in current.items():
                 _vec_add(nxt, k, tuple(frac(k) * c for c in coords))
         elif letter.startswith("Proj:"):
-            k = int(letter[5:])
+            k = json_weight(letter[5:], "weight of a Proj letter")
             if k in current:
                 _vec_add(nxt, k, current[k])
         else:

@@ -1,14 +1,16 @@
 """Exact dense linear algebra over the rational numbers.
 
-Every entry is a ``fractions.Fraction``; there is no floating point and no
-tolerance anywhere in this package.  Matrices are small (total dimensions of
-the order of tens), so the elimination routines favour exactness and
-determinism over asymptotics.  One elimination core serves rank, pivots,
-kernels and solving: fraction-free Gaussian elimination on primitive integer
-rows with the first nonzero pivot, then one division per pivot row to give
-the reduced row echelon form over the rationals, from which every entry
-point reads its answer (pivot-normalized kernel bases, solutions with free
-variables zero).
+Every matrix entry is a ``fractions.Fraction``; there is no floating point
+and no tolerance anywhere in this package.  Matrices are small (total
+dimensions of the order of tens), so the elimination routines favour
+exactness and determinism over asymptotics.  One elimination core serves
+rank, pivots, kernels and solving: fraction-free Gaussian elimination on
+primitive integer rows with the first nonzero pivot, then one division per
+pivot row to give the reduced row echelon form over the rationals, from
+which every entry point reads its answer (pivot-normalized kernel bases,
+solutions with free variables zero).  The sparse entry points take rows of
+Fractions, of Python ints or of both: callers that have already scaled a
+homogeneous system to integers (``scale_to_ints``) hand it over as it is.
 
 Floats are rejected on input so a rounding error can never sneak in.
 """
@@ -112,6 +114,10 @@ class Matrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) out of range for {self.rows}x{self.cols}")
         return self._e[i * self.cols + j]
+
+    def entries(self) -> Vector:
+        """All entries, row-major."""
+        return self._e
 
     def row(self, i: int) -> Vector:
         return self._e[i * self.cols : (i + 1) * self.cols]
@@ -227,8 +233,18 @@ class Matrix:
 # form is unique, so this gives exactly the RREF that elimination over
 # Fraction gives.
 
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, Union[Fraction, int]]
 _IntRow = dict[int, int]
+
+
+def scale_to_ints(values: Iterable[Union[Fraction, int]]) -> tuple[list[int], int]:
+    """Integers n_k and the least d > 0 with values[k] = n_k / d."""
+    values = list(values)
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _to_sparse_rows(m: Matrix) -> list[SparseRow]:

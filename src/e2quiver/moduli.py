@@ -35,7 +35,7 @@ from .preproj import (
     apply_gv,
     check_relations,
 )
-from .quiver import Arrow, DimensionVector, Window, check_size, double_arrows, json_object
+from .quiver import Arrow, DimensionVector, Window, check_size, double_arrows, json_weight_object
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -231,7 +231,7 @@ class FramedPoint:
         framing_dims = DimensionVector.from_json_dict(data.get("framing_dims", {}))
         unknowns = sum(d * d for v in (rep.dims, framing_dims) for _, d in v.items())
         check_size("sum of squared dimensions", unknowns)
-        framing = {int(k): Matrix.from_lists(m) for k, m in json_object(data.get("framing", {}), "framing").items()}
+        framing = {k: Matrix.from_lists(m) for k, m in json_weight_object(data.get("framing", {}), "framing").items()}
         return cls(rep, framing_dims, framing)
 
 

@@ -15,6 +15,13 @@ has one mechanism: the primary decomposition of M under one endomorphism
 ker f_i(phi) for the coprime factors f_i of its minimal polynomial are
 submodules with direct sum M.
 
+Results are exact rationals, but the inner loops under ``decompose`` run on
+Python ints: each input is scaled by the lcm of its denominators and the
+scale is divided out once at the end.  That covers the intertwiner rows of
+the Hom system, the trace pairing, the minimal polynomials and the kernels
+ker f_i(phi).  One inverse per vertex gives the coordinates along every
+component, for both the projection and the restriction.
+
 Isomorphism testing and framed equivalence share one search for an
 invertible element of an affine space of graded maps: deterministic when the
 space is a point or a line and Monte Carlo (seeded, one-sided error)
@@ -27,7 +34,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -39,7 +48,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
-    solve_multi,
+    scale_to_ints,
     sparse_kernel,
 )
 from .quiver import (
@@ -263,26 +272,29 @@ class _HomLayout:
         return self.offsets[vertex] + r * self.x.dim(vertex) + c
 
     def intertwiner_rows(self) -> list[SparseRow]:
-        """Linear system expressing g_target x_a = y_a g_source for all arrows."""
+        """Linear system expressing g_target x_a = y_a g_source for all
+        arrows, in integers: the equations of each arrow are homogeneous, so
+        they are scaled by the lcm of the denominators of x_a and y_a."""
         rows: list[SparseRow] = []
         for arrow in double_arrows(self.window):
             xa = self.x.map(arrow)
             ya = self.y.map(arrow)
-            src, tgt = arrow.source, arrow.target
-            for r in range(self.y.dim(tgt)):
-                for c in range(self.x.dim(src)):
+            ints, _ = scale_to_ints(xa.entries() + ya.entries())
+            x_ints, y_ints = ints[: len(xa.entries())], ints[len(xa.entries()) :]
+            tgt_base, src_base = self.offsets[arrow.target], self.offsets[arrow.source]
+            # unknown g_target[r, k] sits at tgt_base + r * xa.rows + k and
+            # g_source[k, c] at src_base + k * xa.cols + c; the two never meet
+            for r in range(ya.rows):
+                for c in range(xa.cols):
                     row: SparseRow = {}
-                    for k in range(self.x.dim(tgt)):
-                        v = xa[k, c]
-                        if v != 0:
-                            idx = self.index(tgt, r, k)
-                            row[idx] = row.get(idx, _ZERO) + v
-                    for k in range(self.y.dim(src)):
-                        v = ya[r, k]
-                        if v != 0:
-                            idx = self.index(src, k, c)
-                            row[idx] = row.get(idx, _ZERO) - v
-                    row = {i: v for i, v in row.items() if v != 0}
+                    for k in range(xa.rows):
+                        v = x_ints[k * xa.cols + c]
+                        if v:
+                            row[tgt_base + r * xa.rows + k] = v
+                    for k in range(ya.cols):
+                        v = y_ints[r * ya.cols + k]
+                        if v:
+                            row[src_base + k * xa.cols + c] = -v
                     if row:
                         rows.append(row)
         return rows
@@ -336,25 +348,54 @@ class EndAlgebra:
         return len(self.basis)
 
 
+def trace_pairing(left: Sequence[GradedMap], right: Sequence[GradedMap]) -> list[list[Fraction]]:
+    """The Gram matrix G[i][j] = Tr(b_j a_i) of graded maps a_i: X -> Y in
+    left and b_j: Y -> X in right, the traces summed over the vertices.
+
+    Computed in integers: each map is flattened over (vertex, row, column)
+    and scaled by the lcm d of its denominators, each b_j is read transposed
+    through one index permutation, and the entry is Fraction(s, d_i d_j) for
+    the integer dot product s.  When right is left, G is symmetric and only
+    half of it is computed.
+    """
+    if not left:
+        return []
+    vertices = list(left[0])
+    # flat position of a_v[r, c] -> flat position of b_v[c, r]
+    perm = []
+    for v in vertices:
+        m = left[0][v]
+        base = len(perm)
+        perm.extend(base + c * m.rows + r for r in range(m.rows) for c in range(m.cols))
+    a_side = []
+    for g in left:
+        ints, den = scale_to_ints(e for v in vertices for e in g[v].entries())
+        nonzero = [k for k, e in enumerate(ints) if e]
+        a_side.append((nonzero, [ints[k] for k in nonzero], den))
+    b_side = []
+    for g in right:
+        ints, den = scale_to_ints(e for v in vertices for e in g[v].entries())
+        b_side.append(([ints[k] for k in perm], den))
+    symmetric = left is right
+    gram = [[_ZERO] * len(right) for _ in left]
+    for i, (nonzero, values, di) in enumerate(a_side):
+        for j in range(i if symmetric else 0, len(right)):
+            transposed, dj = b_side[j]
+            s = sum(map(mul, values, map(transposed.__getitem__, nonzero)))
+            if s:
+                gram[i][j] = Fraction(s, di * dj)
+                if symmetric:
+                    gram[j][i] = gram[i][j]
+    return gram
+
+
 def end_algebra(x: QuiverRep) -> EndAlgebra:
     """Endomorphism algebra with its radical from the trace form on x."""
     if x.total_dim == 0:
         raise ValueError("endomorphism algebra of the zero representation")
     basis = hom_basis(x, x).basis
     n = len(basis)
-    # Tr_M(ab) = sum over vertices v and entries (r, c) of a_v[r, c] b_v[c, r]
-    entries = [
-        {(v, r, c): a for v, m in g.items() for r in range(m.rows) for c, a in enumerate(m.row(r)) if a}
-        for g in basis
-    ]
-    gram = [[_ZERO] * n for _ in range(n)]
-    for i, a in enumerate(entries):
-        for j in range(i, n):
-            b = entries[j]
-            gram[i][j] = gram[j][i] = sum(
-                (value * b[v, c, r] for (v, r, c), value in a.items() if (v, c, r) in b), _ZERO
-            )
-    radical_coeffs = kernel_basis(Matrix.from_rows(gram, cols=n))
+    radical_coeffs = kernel_basis(Matrix.from_rows(trace_pairing(basis, basis), cols=n))
     radical_dim = len(radical_coeffs)
     return EndAlgebra(
         rep=x,
@@ -546,31 +587,58 @@ def _poly_power(p: list[Fraction], k: int) -> list[Fraction]:
     return out
 
 
-def _poly_at(p: Sequence[Fraction], m: Matrix) -> Matrix:
-    """Horner evaluation of a polynomial at a square matrix."""
-    d = m.rows
-    acc = Matrix.zero(d, d)
-    for c in reversed(p):
-        acc = acc * m
-        acc = Matrix.from_rows([[a + c if i == j else a for j, a in enumerate(acc.row(i))] for i in range(d)], cols=d)
-    return acc
+def _scaled_block(m: Matrix) -> tuple[list[list[int]], int]:
+    """The integer rows of den * m for the lcm den of m's denominators, and den."""
+    ints, den = scale_to_ints(m.entries())
+    return [ints[r * m.cols : (r + 1) * m.cols] for r in range(m.rows)], den
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
 def _minimal_polynomial(m: Matrix) -> list[Fraction]:
     """Minimal polynomial of a square matrix (monic, low-to-high coefficients).
 
-    The powers I, m, ..., m^d are linearly dependent.  The first free column
-    k of their stacked entries is the degree, and every later column is free
-    too, so the first pivot-normalized kernel vector (1 at t^k, 0 above) is
-    the polynomial.
+    Read off the integer matrix M = den * m: the powers I, M, ..., M^d are
+    linearly dependent.  The first free column k of their stacked entries is
+    the degree, and every later column is free too, so the first
+    pivot-normalized kernel vector (1 at t^k, 0 above) is M's minimal
+    polynomial q.  That of m is q(den * t) / den^k, whose roots are q's
+    divided by den.
     """
     d = m.rows
-    powers = [Matrix.identity(d)]
+    block, den = _scaled_block(m)
+    power = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    flat = [[e for row in power for e in row]]
     for _ in range(d):
-        powers.append(powers[-1] * m)
-    stacked = Matrix.from_columns([[a for r in range(d) for a in p.row(r)] for p in powers], rows=d * d)
-    first = kernel_basis(stacked)[0]
-    return _poly_trim(list(first))
+        power = _int_matmul(power, block)
+        flat.append([e for row in power for e in row])
+    stacked = [{j: e for j, e in enumerate(entry) if e} for entry in zip(*flat)]
+    q = _poly_trim(list(sparse_kernel(stacked, d + 1)[0]))
+    k = len(q) - 1
+    return [c / den ** (k - j) for j, c in enumerate(q)] if den != 1 else q
+
+
+def _kernel_at(f: Sequence[Fraction], m: Matrix) -> list[Vector]:
+    """Pivot-normalized basis of ker f(m).
+
+    The kernel is that of the integer multiple den^e L f(m) = sum a_j M^j,
+    with M = den * m, e = deg f, L the lcm of f's denominators and
+    a_j = L f_j den^(e - j), evaluated by Horner's rule.
+    """
+    d = m.rows
+    block, den = _scaled_block(m)
+    coeffs, _ = scale_to_ints(f)
+    e = len(coeffs) - 1
+    a = [c * den ** (e - j) for j, c in enumerate(coeffs)]
+    acc = [[a[e] if i == j else 0 for j in range(d)] for i in range(d)]
+    for c in reversed(a[:e]):
+        acc = _int_matmul(acc, block)
+        for i in range(d):
+            acc[i][i] += c
+    return sparse_kernel([{j: v for j, v in enumerate(row) if v} for row in acc], d)
 
 
 def _candidates(end: EndAlgebra):
@@ -584,45 +652,50 @@ def _candidates(end: EndAlgebra):
         yield _combination(end.basis, [rng.randint(-3, 3) for _ in end.basis])
 
 
-def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[dict[int, Matrix]] | None:
+# A component of a primary decomposition: the column basis B of the
+# submodule per vertex and the rows P of its coordinates along the other
+# components, with P B = I and sum over the components of B P = I.
+Component = tuple[GradedMap, GradedMap]
+
+
+def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[Component] | None:
     """The primary decomposition of x under the first candidate endomorphism
     phi whose minimal polynomial has two or more coprime factors f_i.
 
-    Each component is ker f_i(phi), given by a column basis per vertex; it is
-    a submodule because phi commutes with the arrows, and x is the direct sum
-    of the components (Fitting's lemma).  phi is graded, so its minimal
-    polynomial is the lcm of those of its blocks.  None when no candidate
-    splits.
+    Each component is ker f_i(phi); it is a submodule because phi commutes
+    with the arrows, and x is the direct sum of the components (Fitting's
+    lemma).  phi is graded, so its minimal polynomial is the lcm of those of
+    its blocks.  One inverse of [B_1 ... B_k] per vertex gives every
+    component's coordinate rows.  None when no candidate splits.
     """
     vertices = list(x.window.vertices())
     for phi in _candidates(end):
-        minpoly = [_ONE]
-        for block in {tuple(_minimal_polynomial(phi[v])) for v in vertices}:
-            minpoly = _poly_lcm(minpoly, block)
+        minpoly = reduce(_poly_lcm, {tuple(_minimal_polynomial(phi[v])) for v in vertices})
         factors = _coprime_factors(minpoly)
         if factors is None or len(factors) < 2:
             continue
-        components = [
-            {v: Matrix.from_columns(kernel_basis(_poly_at(f, phi[v])), rows=x.dim(v)) for v in vertices}
-            for f in factors
-        ]
+        kernels = [{v: _kernel_at(f, phi[v]) for v in vertices} for f in factors]
+        components: list[Component] = [({}, {}) for _ in factors]
         for v in vertices:
-            if sum(c[v].cols for c in components) != x.dim(v):
+            n = x.dim(v)
+            columns = [col for kernel in kernels for col in kernel[v]]
+            if len(columns) != n:
                 raise AssertionError(f"primary components do not fill weight {v}")
+            inv = inverse(Matrix(n, n, (col[i] for i in range(n) for col in columns))).entries()
+            first = 0
+            for (basis, coords), kernel in zip(components, kernels):
+                k = len(kernel[v])
+                basis[v] = Matrix(n, k, (col[i] for i in range(n) for col in kernel[v]))
+                coords[v] = Matrix(k, n, inv[first * n : (first + k) * n])
+                first += k
         return components
     return None
 
 
-def _projection(x: QuiverRep, components: list[dict[int, Matrix]]) -> GradedMap:
-    """The idempotent onto the first component along the others."""
-    e = {}
-    for v in x.window.vertices():
-        n = x.dim(v)
-        first = components[0][v]
-        columns = [c[v].col(j) for c in components for j in range(c[v].cols)]
-        coords = inverse(Matrix.from_columns(columns, rows=n))
-        e[v] = first * Matrix.from_rows([coords.row(i) for i in range(first.cols)], cols=n)
-    return e
+def _projection(component: Component) -> GradedMap:
+    """The idempotent onto a component along the others."""
+    basis, coords = component
+    return {v: basis[v] * coords[v] for v in basis}
 
 
 def is_indecomposable(x: QuiverRep) -> IndecomposabilityResult:
@@ -638,7 +711,7 @@ def is_indecomposable(x: QuiverRep) -> IndecomposabilityResult:
     if x.total_dim == 0:
         raise ValueError("indecomposability of the zero representation")
     verdict, components = _split_components(x)
-    return IndecomposabilityResult(verdict, None if components is None else _projection(x, components))
+    return IndecomposabilityResult(verdict, None if components is None else _projection(components[0]))
 
 
 def split(x: QuiverRep) -> tuple[QuiverRep, ...] | None:
@@ -652,7 +725,7 @@ def split(x: QuiverRep) -> tuple[QuiverRep, ...] | None:
     return tuple(_restrict(x, c) for c in components)
 
 
-def _split_components(x: QuiverRep) -> tuple[str, list[dict[int, Matrix]] | None]:
+def _split_components(x: QuiverRep) -> tuple[str, list[Component] | None]:
     """The indecomposability verdict for a nonzero x, with the primary
     components exactly when it is DECOMPOSABLE."""
     end = end_algebra(x)
@@ -664,15 +737,15 @@ def _split_components(x: QuiverRep) -> tuple[str, list[dict[int, Matrix]] | None
     return DECOMPOSABLE, components
 
 
-def _restrict(x: QuiverRep, bases: Mapping[int, Matrix]) -> QuiverRep:
-    """x restricted to the submodule with the given column basis per vertex."""
-    dims = DimensionVector({v: bases[v].cols for v in x.window.vertices()})
-    maps = {}
-    for arrow in double_arrows(x.window):
-        y = solve_multi(bases[arrow.target], x.map(arrow) * bases[arrow.source])
-        if y is None:
-            raise ValueError("basis is not invariant under the arrows; not a submodule")
-        maps[arrow.name] = y
+def _restrict(x: QuiverRep, component: Component) -> QuiverRep:
+    """x restricted to a submodule: each arrow map becomes P_t x_a B_s, since
+    x_a B_s lies in the span of B_t and P_t reads its coordinates there."""
+    basis, coords = component
+    dims = DimensionVector({v: basis[v].cols for v in x.window.vertices()})
+    maps = {
+        arrow.name: coords[arrow.target] * x.map(arrow) * basis[arrow.source]
+        for arrow in double_arrows(x.window)
+    }
     return QuiverRep(x.window, dims, maps)
 
 

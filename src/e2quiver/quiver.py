@@ -10,6 +10,7 @@ quiver therefore compose consistently.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -41,6 +42,34 @@ def json_int(value: object, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+# The only string form of a weight, the integer part of linalg's rational
+# form: "+" signs, underscores, whitespace and non-ASCII digits are refused.
+_WEIGHT = re.compile(r"-?[0-9]+")
+
+
+def json_weight(key: object, what: str) -> int:
+    """A weight written as a JSON object key, a string "-?digits", or given
+    from Python as an int (not a bool); anything else raises ValueError
+    naming what."""
+    if type(key) is int:
+        return key
+    if not isinstance(key, str) or not _WEIGHT.fullmatch(key):
+        raise ValueError(f"{what} must be a weight of the form -?digits, got {key!r}")
+    return int(key)
+
+
+def json_weight_object(value: object, what: str) -> dict[int, object]:
+    """A JSON object keyed by weights, its keys read by json_weight.  Two
+    spellings of one weight ("1", "01") raise ValueError."""
+    out = {}
+    for key, v in json_object(value, what).items():
+        k = json_weight(key, f"{what} key")
+        if k in out:
+            raise ValueError(f"{what} names weight {k} twice")
+        out[k] = v
+    return out
 
 
 class DimensionVector:
@@ -113,10 +142,11 @@ class DimensionVector:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "DimensionVector":
-        """Parse {"weight": multiplicity}.  Multiplicities must be JSON
-        integers: a float, a bool or a string is rejected, not converted."""
-        data = json_object(data, "dimension vector")
-        return cls({int(k): json_int(v, f"multiplicity at weight {k}") for k, v in data.items()})
+        """Parse {"weight": multiplicity}.  Weights are read by json_weight,
+        and multiplicities must be JSON integers: a float, a bool or a string
+        is rejected, not converted."""
+        data = json_weight_object(data, "dimension vector")
+        return cls({k: json_int(v, f"multiplicity at weight {k}") for k, v in data.items()})
 
 
 @dataclass(frozen=True)

@@ -392,3 +392,60 @@ def test_emitted_documents_reparse(capsys):
         emitted = rep.to_json_dict()
         assert emitted["dims"] == doc["dims"]
         assert emitted["maps"] == doc["maps"]
+
+
+# Weight keys spelled other than -?digits.  int() reads all but the last as
+# a weight, and those inputs once exited 0.
+WEIGHT_KEY_PROBES = {
+    "dim_formula_v": (["dim-formula", "--v", '{" +1_0": 1}', "--w", '{"10": 1}'], None),
+    "dim_formula_w": (["dim-formula", "--v", '{"0": 1}', "--w", '{"+0": 1}'], None),
+    "rep_dims": (["end-algebra", "--module", "{doc}"], {**REP, "dims": {" 0": 1, "1": 1}}),
+    "framing_dims": (["stable", "--module", "{doc}"], {**FRAMED, "framing_dims": {"0 ": 1}}),
+    "framing": (["stable", "--module", "{doc}"], {**FRAMED, "framing": {"+0": [["1"]]}}),
+    "p_plus": (["verify", "--module", "{doc}"], {**HOOK, "p_plus": {"-1 ": [["1"]]}}),
+    "p_minus": (["to-quiver", "--module", "{doc}"], {**HOOK, "p_minus": {"\t1": [["1"]]}}),
+    "module_dims": (["verify", "--module", "{doc}"], {**HOOK, "dims": {"-1": 1, "٠": 1, "1": 1}}),
+    "vector": (["apply-word", "--module", "{doc}", "--word", '["P+"]', "--vector", '{"+0": ["1"]}'], HOOK),
+    "proj_letter": (["apply-word", "--module", "{doc}", "--word", '["Proj: 0"]', "--vector", '{"0": ["1"]}'], HOOK),
+    "empty_key": (["dim-formula", "--v", '{"": 1}', "--w", '{"0": 1}'], None),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_KEY_PROBES)
+def test_malformed_weight_keys_exit_1(capsys, tmp_path, name):
+    argv, doc = WEIGHT_KEY_PROBES[name]
+    path = write_json(tmp_path / "doc.json", doc) if doc is not None else ""
+    code, out, err = run_cli(capsys, *(a.replace("{doc}", path) for a in argv))
+    assert (code, err) == (1, "")
+    assert "weight of the form -?digits" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["dim-formula", "--v", '{"0": 1, "00": 1}', "--w", '{"0": 2}'], None),
+        (["verify", "--module", "{doc}"], {**HOOK, "p_plus": {"-1": [["1"]], "-01": [["2"]]}}),
+    ],
+)
+def test_weight_spelled_twice_exits_1(capsys, tmp_path, argv, doc):
+    # int() reads both keys as one weight, and one of the values was dropped
+    path = write_json(tmp_path / "doc.json", doc) if doc is not None else ""
+    code, out, err = run_cli(capsys, *(a.replace("{doc}", path) for a in argv))
+    assert (code, err) == (1, "")
+    assert "twice" in json.loads(out)["error"]
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 300 kB of output, more than a pipe holds, so the child is still
+    # writing when the reader goes away
+    src = str(Path(e2quiver.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "e2quiver", "enumerate-thin", "--window", "0", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")
