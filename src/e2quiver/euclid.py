@@ -10,7 +10,9 @@ degree +1 action restricted to weight i with the forward arrow map at i,
 and the degree -1 action restricted to weight i+1 with the reversed
 arrow map; the commutator condition becomes exactly the
 Gelfand-Ponomarev relation.  Both directions of the dictionary are
-bit-exact inverses on valid objects.
+bit-exact inverses on valid objects, and the dictionary is an equivalence
+of categories, so Hom between modules (hom_dimension) is read off the
+intertwiners of the quiver images.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Matrix, SparseRow, frac, sparse_kernel
-from .preproj import QuiverRep, check_relations
+from .linalg import Matrix, frac
+from .preproj import QuiverRep, check_relations, hom_basis
 from .quiver import Arrow, DimensionVector, check_size, json_object, json_weight, json_weight_object, window_of_support
 
 _ZERO = Fraction(0)
@@ -44,8 +46,9 @@ class EuclideanModule:
     """Weight-graded module with raising (p_plus) and lowering (p_minus) maps.
 
     p_plus[k] maps the weight-k space to the weight-(k+1) space, p_minus[k]
-    maps it to the weight-(k-1) space.  Zero maps are implied and dropped,
-    so equality of modules is bit-exact equality of the stored data.
+    maps it to the weight-(k-1) space.  Zero maps of the right shape are
+    implied and dropped, so equality of modules is bit-exact equality of
+    the stored data.
     """
 
     __slots__ = ("dims", "p_plus", "p_minus")
@@ -57,12 +60,19 @@ class EuclideanModule:
         p_minus: Mapping[int, Matrix] | None = None,
     ):
         self.dims = dims
-        self.p_plus = self._canonical(p_plus or {})
-        self.p_minus = self._canonical(p_minus or {})
+        self.p_plus = self._canonical(p_plus or {}, 1)
+        self.p_minus = self._canonical(p_minus or {}, -1)
 
-    @staticmethod
-    def _canonical(maps: Mapping[int, Matrix]) -> dict[int, Matrix]:
-        return {int(k): m for k, m in maps.items() if not m.is_zero()}
+    def _canonical(self, maps: Mapping[int, Matrix], step: int) -> dict[int, Matrix]:
+        """Drop the zero maps of the right shape, which plus and minus imply;
+        a wrongly shaped map is kept for validate to report."""
+        dims = self.dims
+        canonical = {}
+        for k, m in maps.items():
+            k = int(k)
+            if not m.is_zero() or m.rows != dims[k + step] or m.cols != dims[k]:
+                canonical[k] = m
+        return canonical
 
     def plus(self, k: int) -> Matrix:
         return self.p_plus.get(k, Matrix.zero(self.dims[k + 1], self.dims[k]))
@@ -111,18 +121,11 @@ def validate(m: EuclideanModule) -> list[str]:
     of the to_quiver image.  Problems are reported, not thrown.
     """
     violations = []
-    for k, mat in sorted(m.p_plus.items()):
-        expected = (m.dims[k + 1], m.dims[k])
-        if mat.shape != expected:
-            violations.append(
-                f"p_plus at weight {k} has shape {mat.shape}, expected {expected}"
-            )
-    for k, mat in sorted(m.p_minus.items()):
-        expected = (m.dims[k - 1], m.dims[k])
-        if mat.shape != expected:
-            violations.append(
-                f"p_minus at weight {k} has shape {mat.shape}, expected {expected}"
-            )
+    for name, maps, step in (("p_plus", m.p_plus, 1), ("p_minus", m.p_minus, -1)):
+        for k, mat in sorted(maps.items()):
+            expected = (m.dims[k + step], m.dims[k])
+            if mat.shape != expected:
+                violations.append(f"{name} at weight {k} has shape {mat.shape}, expected {expected}")
     if violations or m.dims.is_zero():
         return violations
     return [f"commutator violation at weight {k}" for k in check_relations(_quiver_image(m))]
@@ -135,12 +138,16 @@ def to_quiver(m: EuclideanModule) -> QuiverRep:
     The commutator condition turns into the Gelfand-Ponomarev relation, so the
     result always satisfies the relations.
     """
-    problems = validate(m)
-    if problems:
-        raise ValueError("invalid module: " + "; ".join(problems))
+    _require_valid(m)
     if m.dims.is_zero():
         raise ValueError("zero module has no support window")
     return _quiver_image(m)
+
+
+def _require_valid(m: EuclideanModule) -> None:
+    problems = validate(m)
+    if problems:
+        raise ValueError("invalid module: " + "; ".join(problems))
 
 
 def _quiver_image(m: EuclideanModule) -> QuiverRep:
@@ -271,55 +278,11 @@ def weight_runs(weights: Iterable[int]) -> WeightRunReport:
 
 
 def hom_dimension(m: EuclideanModule, m2: EuclideanModule) -> int:
-    """Dimension of the space of grading-preserving maps commuting with the
-    raising and lowering actions.
-
-    This is assembled directly from the module data, independently of the
-    quiver-side intertwiner computation, so the two sides of the dictionary
-    can be compared against each other.
-    """
-    weights = sorted(set(m.dims.support()) | set(m2.dims.support()))
-    offsets = {}
-    pos = 0
-    for k in weights:
-        offsets[k] = pos
-        pos += m2.dims[k] * m.dims[k]
-    rows: list[SparseRow] = []
-
-    def block_index(k: int, r: int, c: int) -> int:
-        return offsets[k] + r * m.dims[k] + c
-
-    for k in weights:
-        # g_{k+1} p_plus^k = p_plus'^k g_k
-        a, b = m.plus(k), m2.plus(k)
-        for r in range(m2.dims[k + 1]):
-            for c in range(m.dims[k]):
-                row: SparseRow = {}
-                for j in range(m.dims[k + 1]):
-                    if a[j, c] != 0 and (k + 1) in offsets:
-                        idx = block_index(k + 1, r, j)
-                        row[idx] = row.get(idx, _ZERO) + a[j, c]
-                for j in range(m2.dims[k]):
-                    if b[r, j] != 0:
-                        idx = block_index(k, j, c)
-                        row[idx] = row.get(idx, _ZERO) - b[r, j]
-                row = {i: val for i, val in row.items() if val != 0}
-                if row:
-                    rows.append(row)
-        # g_{k-1} p_minus^k = p_minus'^k g_k
-        a, b = m.minus(k), m2.minus(k)
-        for r in range(m2.dims[k - 1]):
-            for c in range(m.dims[k]):
-                row = {}
-                for j in range(m.dims[k - 1]):
-                    if a[j, c] != 0 and (k - 1) in offsets:
-                        idx = block_index(k - 1, r, j)
-                        row[idx] = row.get(idx, _ZERO) + a[j, c]
-                for j in range(m2.dims[k]):
-                    if b[r, j] != 0:
-                        idx = block_index(k, j, c)
-                        row[idx] = row.get(idx, _ZERO) - b[r, j]
-                row = {i: val for i, val in row.items() if val != 0}
-                if row:
-                    rows.append(row)
-    return len(sparse_kernel(rows, pos))
+    """Dimension of the grading-preserving maps commuting with the raising and
+    lowering actions, read through the dictionary as hom_basis of the quiver
+    images; 0 when either module is zero, ValueError when either is invalid."""
+    _require_valid(m)
+    _require_valid(m2)
+    if m.dims.is_zero() or m2.dims.is_zero():
+        return 0
+    return hom_basis(_quiver_image(m), _quiver_image(m2)).dim

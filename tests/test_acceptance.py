@@ -15,7 +15,6 @@ from e2quiver.euclid import (
     apply_word,
     basis_vectors,
     from_quiver,
-    hom_dimension,
     proj,
     to_quiver,
     validate,
@@ -46,6 +45,7 @@ from e2quiver.preproj import (
 )
 from e2quiver.linalg import Matrix
 from e2quiver.quiver import DimensionVector, Window
+from hom_oracles import module_side_hom_dimension
 
 
 class Criterion:
@@ -161,7 +161,7 @@ def test_criterion_4_functor_equivalence(thin16, young_corpus, random_thin_corpu
         for group in by_dims.values():
             for m1 in group:
                 for m2 in group:
-                    assert hom_dimension(m1, m2) == hom_basis(to_quiver(m1), to_quiver(m2)).dim
+                    assert module_side_hom_dimension(m1, m2) == hom_basis(to_quiver(m1), to_quiver(m2)).dim
                     checked += 1
         assert checked >= len(modules)
 

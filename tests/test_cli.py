@@ -55,6 +55,15 @@ def test_verify_invalid_module_exits_1(capsys, tmp_path):
     assert doc["valid"] is False and doc["violations"]
 
 
+@pytest.mark.parametrize("command", ["verify", "to-quiver"])
+def test_zero_map_of_wrong_shape_exits_1(capsys, tmp_path, command):
+    bad = {"dims": {"0": 1, "1": 1}, "p_plus": {"0": [[0, 0, 0]]}}
+    path = write_json(tmp_path / "bad.json", bad)
+    code, out, err = run_cli(capsys, command, "--module", path)
+    assert code == 1
+    assert "p_plus at weight 0 has shape (1, 3), expected (1, 1)" in out + err
+
+
 def test_young_command_matches_residues(capsys):
     doc = run_json(capsys, "young", "--partition", "[2,1]", "--weight", "0")
     assert doc["dims"] == {"-1": 1, "0": 1, "1": 1}

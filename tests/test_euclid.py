@@ -20,6 +20,7 @@ from e2quiver.linalg import Matrix
 from e2quiver.moduli import Partition, young_module
 from e2quiver.preproj import QuiverRep, direct_sum, hom_basis, split
 from e2quiver.quiver import DimensionVector, Window
+from hom_oracles import module_side_hom_dimension
 
 ONE = Matrix.from_rows([[1]])
 
@@ -54,6 +55,14 @@ def test_commutator_violation_detected():
 def test_shape_violation_reported_not_thrown():
     m = EuclideanModule(DimensionVector({0: 1}), p_plus={0: Matrix.from_rows([[1, 2]])})
     assert any("shape" in p for p in validate(m))
+
+
+def test_zero_map_of_wrong_shape_is_kept_and_reported():
+    dims = DimensionVector({0: 1, 1: 1})
+    m = EuclideanModule(dims, p_plus={0: Matrix.zero(1, 3)})
+    assert validate(m) == ["p_plus at weight 0 has shape (1, 3), expected (1, 1)"]
+    # a zero map of the right shape is implied, so it is still dropped
+    assert EuclideanModule(dims, p_minus={1: Matrix.zero(1, 1)}) == EuclideanModule(dims)
 
 
 def old_validate(m: EuclideanModule) -> list[str]:
@@ -299,9 +308,32 @@ def test_hom_dimension_agrees_with_quiver_side(thin16, young_corpus):
     modules += [gs.module for _, gs in young_corpus[:8]]
     for m1 in modules:
         for m2 in modules:
-            lhs = hom_dimension(m1, m2)
+            lhs = module_side_hom_dimension(m1, m2)
             rhs = hom_basis(to_quiver(m1), to_quiver(m2)).dim
             assert lhs == rhs
+
+
+def test_hom_dimension_reads_hom_basis(young_corpus):
+    modules = [gs.module for _, gs in young_corpus[:4]]
+    for m1 in modules:
+        for m2 in modules:
+            assert hom_dimension(m1, m2) == hom_basis(to_quiver(m1), to_quiver(m2)).dim
+
+
+def test_hom_dimension_rejects_invalid_modules():
+    good = ladder(1, 0)
+    misshapen = EuclideanModule(DimensionVector({0: 1}), p_plus={0: Matrix.from_rows([[1, 2]])})
+    for bad in (ladder(1, 1), misshapen):
+        with pytest.raises(ValueError, match="invalid module"):
+            hom_dimension(bad, good)
+        with pytest.raises(ValueError, match="invalid module"):
+            hom_dimension(good, bad)
+
+
+def test_hom_dimension_with_zero_module_is_zero():
+    zero = EuclideanModule(DimensionVector({}))
+    m = ladder(1, 0)
+    assert hom_dimension(zero, m) == hom_dimension(m, zero) == hom_dimension(zero, zero) == 0
 
 
 def test_gap_support_module_splits():

@@ -30,6 +30,7 @@ from e2quiver.preproj import (
 )
 from e2quiver.moduli import enumerate_thin_indecomposables
 from e2quiver.quiver import DimensionVector, Window, double_arrows
+from hom_oracles import crawley_boevey_count
 
 ONE = Matrix.from_rows([[1]])
 
@@ -214,6 +215,23 @@ def test_hom_elements_intertwine(thin16):
     x, y = thin16[1], thin16[2]
     for g in hom_basis(x, y).basis:
         assert intertwines(x, y, g)
+
+
+def test_hom_matches_crawley_boevey_count(thin16, young_corpus):
+    # Crawley-Boevey's exact sequence: sum_i x_i y_i - rank d1 = dim Hom(Y, X).
+    # The count is not symmetric in X and Y, so it must miss dim Hom(X, Y)
+    # somewhere; that catches a d1 built with the two sides swapped.
+    from e2quiver.euclid import to_quiver
+
+    reps = list(thin16) + [to_quiver(gs.module) for _, gs in young_corpus[:8]]
+    homs = {(i, j): hom_basis(x, y).dim for i, x in enumerate(reps) for j, y in enumerate(reps)}
+    forward_misses = 0
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            count = crawley_boevey_count(x, y)
+            assert count == homs[j, i]
+            forward_misses += count != homs[i, j]
+    assert forward_misses > 0
 
 
 # --- endomorphism algebras -----------------------------------------------------
