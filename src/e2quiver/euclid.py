@@ -11,8 +11,8 @@ and the degree -1 action restricted to weight i+1 with the reversed
 arrow map; the commutator condition becomes exactly the
 Gelfand-Ponomarev relation.  Both directions of the dictionary are
 bit-exact inverses on valid objects, and the dictionary is an equivalence
-of categories, so Hom between modules (hom_dimension) is read off the
-intertwiners of the quiver images.
+of categories, so the dimension of Hom between modules (hom_dimension) is
+read off the rank of the intertwiner system of the quiver images.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, frac
-from .preproj import QuiverRep, check_relations, hom_basis
+from .preproj import QuiverRep, check_relations, hom_dim
 from .quiver import Arrow, DimensionVector, check_size, json_object, json_weight, json_weight_object, window_of_support
 
 _ZERO = Fraction(0)
@@ -120,6 +120,12 @@ def validate(m: EuclideanModule) -> list[str]:
     Gelfand-Ponomarev relation: its violations are read off check_relations
     of the to_quiver image.  Problems are reported, not thrown.
     """
+    return _checked_image(m)[0]
+
+
+def _checked_image(m: EuclideanModule) -> tuple[list[str], QuiverRep | None]:
+    """validate's violations, with the quiver image that the relation check
+    was run on, or None when m is zero or a map has the wrong shape."""
     violations = []
     for name, maps, step in (("p_plus", m.p_plus, 1), ("p_minus", m.p_minus, -1)):
         for k, mat in sorted(maps.items()):
@@ -127,8 +133,9 @@ def validate(m: EuclideanModule) -> list[str]:
             if mat.shape != expected:
                 violations.append(f"{name} at weight {k} has shape {mat.shape}, expected {expected}")
     if violations or m.dims.is_zero():
-        return violations
-    return [f"commutator violation at weight {k}" for k in check_relations(_quiver_image(m))]
+        return violations, None
+    image = _quiver_image(m)
+    return [f"commutator violation at weight {k}" for k in check_relations(image)], image
 
 
 def to_quiver(m: EuclideanModule) -> QuiverRep:
@@ -138,16 +145,19 @@ def to_quiver(m: EuclideanModule) -> QuiverRep:
     The commutator condition turns into the Gelfand-Ponomarev relation, so the
     result always satisfies the relations.
     """
-    _require_valid(m)
-    if m.dims.is_zero():
+    image = _require_valid(m)
+    if image is None:
         raise ValueError("zero module has no support window")
-    return _quiver_image(m)
+    return image
 
 
-def _require_valid(m: EuclideanModule) -> None:
-    problems = validate(m)
+def _require_valid(m: EuclideanModule) -> QuiverRep | None:
+    """The quiver image of a valid module, None for the zero module;
+    ValueError naming every violation otherwise."""
+    problems, image = _checked_image(m)
     if problems:
         raise ValueError("invalid module: " + "; ".join(problems))
+    return image
 
 
 def _quiver_image(m: EuclideanModule) -> QuiverRep:
@@ -279,10 +289,9 @@ def weight_runs(weights: Iterable[int]) -> WeightRunReport:
 
 def hom_dimension(m: EuclideanModule, m2: EuclideanModule) -> int:
     """Dimension of the grading-preserving maps commuting with the raising and
-    lowering actions, read through the dictionary as hom_basis of the quiver
+    lowering actions, read through the dictionary as hom_dim of the quiver
     images; 0 when either module is zero, ValueError when either is invalid."""
-    _require_valid(m)
-    _require_valid(m2)
-    if m.dims.is_zero() or m2.dims.is_zero():
+    x, y = _require_valid(m), _require_valid(m2)
+    if x is None or y is None:
         return 0
-    return hom_basis(_quiver_image(m), _quiver_image(m2)).dim
+    return hom_dim(x, y)

@@ -7,10 +7,12 @@ exactness and determinism over asymptotics.  One elimination core serves
 rank, pivots, kernels and solving: fraction-free Gaussian elimination on
 primitive integer rows with the first nonzero pivot, then one division per
 pivot row to give the reduced row echelon form over the rationals, from
-which every entry point reads its answer (pivot-normalized kernel bases,
-solutions with free variables zero).  The sparse entry points take rows of
-Fractions, of Python ints or of both: callers that have already scaled a
-homogeneous system to integers (``scale_to_ints``) hand it over as it is.
+which kernels and solutions are read (pivot-normalized kernel bases,
+solutions with free variables zero).  Rank and pivot columns read the
+pivots off the forward elimination alone: no back-substitution and no
+division.  The sparse entry points take rows of Fractions, of Python ints
+or of both: callers that have already scaled a homogeneous system to
+integers (``scale_to_ints``) hand it over as it is.
 
 Floats are rejected on input so a rounding error can never sneak in.
 """
@@ -228,10 +230,10 @@ class Matrix:
 # a pivot p is row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f),
 # followed by division by the row's content, so entries stay small integers
 # and no Fraction is built during elimination.  Entries below each pivot are
-# cleared first, those above it afterwards, last pivot first.  At the end
-# each reduced row is divided by its pivot once.  The reduced row echelon
-# form is unique, so this gives exactly the RREF that elimination over
-# Fraction gives.
+# cleared first (_forward, all that rank needs), those above it afterwards,
+# last pivot first (_reduce).  At the end each reduced row is divided by its
+# pivot once.  The reduced row echelon form is unique, so this gives exactly
+# the RREF that elimination over Fraction gives.
 
 SparseRow = dict[int, Union[Fraction, int]]
 _IntRow = dict[int, int]
@@ -288,16 +290,17 @@ def _eliminate(row: _IntRow, col: int, piv: _IntRow, p: int) -> _IntRow:
     return row
 
 
-def _reduce(rows: Iterable[SparseRow], ncols: int) -> tuple[list[_IntRow], list[int]]:
-    """Integer reduced row echelon form.
+def _forward(rows: Iterable[SparseRow], ncols: int) -> tuple[list[_IntRow], list[int]]:
+    """Integer row echelon form: the forward phase of the elimination.
 
     Pivot policy: columns left to right, first remaining row with a nonzero
-    entry.  Returns the nonzero reduced rows (one per pivot, in pivot order,
-    each primitive with a positive pivot entry and zeros in the other pivot
-    columns) and the pivot columns.
+    entry.  Returns the nonzero echelon rows (one per pivot, in pivot order,
+    each primitive with a positive pivot entry and zeros in the earlier
+    pivot columns) and the pivot columns, which are those of the reduced
+    form.
     """
     work = [_primitive(r) for r in rows if r]
-    reduced: list[_IntRow] = []
+    echelon: list[_IntRow] = []
     pivots: list[int] = []
     for col in range(ncols):
         for idx, row in enumerate(work):
@@ -319,8 +322,15 @@ def _reduce(rows: Iterable[SparseRow], ncols: int) -> tuple[list[_IntRow], list[
                     continue
             rest.append(row)
         work[idx:] = rest
-        reduced.append(piv)
+        echelon.append(piv)
         pivots.append(col)
+    return echelon, pivots
+
+
+def _reduce(rows: Iterable[SparseRow], ncols: int) -> tuple[list[_IntRow], list[int]]:
+    """Integer reduced row echelon form: the echelon rows of _forward with
+    zeros cleared into the later pivot columns as well, and its pivots."""
+    reduced, pivots = _forward(rows, ncols)
     # back-substitution, last pivot first, so that each pivot row used is
     # already zero in the later pivot columns
     for k in range(len(reduced) - 1, 0, -1):
@@ -386,6 +396,11 @@ def _particular(reduced: list[SparseRow], pivots: list[int], ncols: int, nrhs: i
     return x
 
 
+def sparse_rank(rows: list[SparseRow], ncols: int) -> int:
+    """Rank of a sparse system, from the forward elimination alone."""
+    return len(_forward(rows, ncols)[1])
+
+
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[Vector]:
     """Pivot-normalized kernel basis of a sparse homogeneous system."""
     reduced, pivots = _rref(rows, ncols)
@@ -407,12 +422,13 @@ def sparse_affine_solve(
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals."""
-    return len(pivot_columns(m))
+    return sparse_rank(_to_sparse_rows(m), m.cols)
 
 
 def pivot_columns(m: Matrix) -> list[int]:
-    """Pivot columns of the reduced echelon form, ascending."""
-    return _reduce(_to_sparse_rows(m), m.cols)[1]
+    """Pivot columns of the reduced echelon form, ascending; the forward
+    elimination already finds them."""
+    return _forward(_to_sparse_rows(m), m.cols)[1]
 
 
 def column_space_basis(m: Matrix) -> Matrix:

@@ -25,7 +25,10 @@ component, for both the projection and the restriction.
 Isomorphism testing and framed equivalence share one search for an
 invertible element of an affine space of graded maps: deterministic when the
 space is a point or a line and Monte Carlo (seeded, one-sided error)
-otherwise, with an exhaustive grid mode for small instances.
+otherwise, with an exhaustive grid mode for small instances.  Its candidates
+are integer combinations of the spanning maps, each scaled once by the lcm
+of all their denominators.  The Hom dimensions that the isomorphism test
+only compares are ranks of the intertwiner system (hom_dim), with no basis.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .linalg import (
     rank,
     scale_to_ints,
     sparse_kernel,
+    sparse_rank,
 )
 from .quiver import (
     Arrow,
@@ -316,13 +320,11 @@ def hom_basis(x: QuiverRep, y: QuiverRep) -> HomSpace:
     return HomSpace(x, y, [layout.unvec(v) for v in kernel])
 
 
-def _gm_invertible(g: GradedMap) -> bool:
-    for m in g.values():
-        if m.rows != m.cols:
-            return False
-        if m.rows > 0 and rank(m) != m.rows:
-            return False
-    return True
+def hom_dim(x: QuiverRep, y: QuiverRep) -> int:
+    """dim Hom(x, y) = hom_basis(x, y).dim: the number of unknowns of the
+    intertwiner system minus its rank, with no basis built."""
+    layout = _HomLayout(x, y)
+    return layout.size - sparse_rank(layout.intertwiner_rows(), layout.size)
 
 
 @dataclass
@@ -806,10 +808,12 @@ def is_isomorphic(
     """Whether x and y lie in the same base-change orbit.
 
     Fast-path False when the dimension vectors or the Hom-space dimensions
-    disagree.  Otherwise searches the Hom space for an invertible element
-    (see _find_invertible): deterministically when dim Hom <= 1, on a grid
-    with `exhaustive`, and otherwise by `trials` seeded Monte Carlo draws
-    (one-sided error: True is always a witness).
+    disagree.  Only Hom(x, y) is solved for a basis, which the search needs;
+    dim Hom(y, x), dim End(x) and dim End(y) are ranks (hom_dim).  Otherwise
+    searches the Hom space for an invertible element (see _find_invertible):
+    deterministically when dim Hom <= 1, on a grid with `exhaustive`, and
+    otherwise by `trials` seeded Monte Carlo draws (one-sided error: True is
+    always a witness).
     """
     if x.dims != y.dims:
         return False
@@ -818,9 +822,9 @@ def is_isomorphic(
     forward = hom_basis(x, y)
     if forward.dim == 0:
         return False
-    if forward.dim != hom_basis(y, x).dim:
+    if forward.dim != hom_dim(y, x):
         return False
-    if hom_basis(x, x).dim != hom_basis(y, y).dim:
+    if hom_dim(x, x) != hom_dim(y, y):
         return False
     return _find_invertible(forward.basis, seed=seed, trials=trials, exhaustive=exhaustive)
 
@@ -850,15 +854,17 @@ def _find_invertible(
     everywhere) or else from `trials` seeded draws with ranges [-2^t, 2^t]
     for t = 1, 2, ... (one-sided error: True is always a witness).  A grid of
     more than _GRID_LIMIT points raises ValueError.
+
+    Candidates are integer combinations: the maps are scaled once by D, the
+    lcm of the denominators of all their entries, and D times a candidate is
+    invertible exactly when the candidate is.
     """
-    if particular is None:
-        if len(kernel) == 1:
-            return _gm_invertible(kernel[0])
-        basis, fixed = kernel, []
-    else:
-        if not kernel:
-            return _gm_invertible(particular)
-        basis, fixed = [particular] + kernel, [1]
+    basis, fixed = (kernel, []) if particular is None else ([particular] + kernel, [1])
+    if any(m.rows != m.cols for m in basis[0].values()):
+        return False
+    blocks = _scaled_blocks(basis)
+    if len(basis) == 1:
+        return _invertible(blocks, [1])
     n = len(kernel)
     if exhaustive:
         d = sum(m.rows for m in basis[0].values())
@@ -870,9 +876,39 @@ def _find_invertible(
         points = ([rng.randint(-(2**t), 2**t) for _ in range(n)] for t in range(1, trials + 1))
     for coeffs in points:
         coeffs = fixed + list(coeffs)
-        if any(coeffs) and _gm_invertible(_combination(basis, coeffs)):
+        if any(coeffs) and _invertible(blocks, coeffs):
             return True
     return False
+
+
+def _scaled_blocks(basis: list[GradedMap]) -> list[tuple[int, list[list[int]]]]:
+    """For each nonempty vertex block of the square maps in basis, in vertex
+    order: its size k and, for every map b, the k * k entries of D b as one
+    row-major integer list, with D the lcm of all the denominators."""
+    vertices = [v for v, m in basis[0].items() if m.rows]
+    scaled = [scale_to_ints([a for v in vertices for a in g[v].entries()]) for g in basis]
+    den = lcm(*(d for _, d in scaled))
+    flat = [ints if d == den else [a * (den // d) for a in ints] for ints, d in scaled]
+    blocks = []
+    pos = 0
+    for v in vertices:
+        k = basis[0][v].rows
+        blocks.append((k, [f[pos : pos + k * k] for f in flat]))
+        pos += k * k
+    return blocks
+
+
+def _invertible(blocks: list[tuple[int, list[list[int]]]], coeffs: Sequence[int]) -> bool:
+    """Whether sum c_i b_i has full rank at every vertex: the rank of each
+    integer block in vertex order, stopping at the first singular one."""
+    terms = [(c, i) for i, c in enumerate(coeffs) if c]
+    for k, maps in blocks:
+        acc = [0] * (k * k)
+        for c, i in terms:
+            acc = [a + c * b for a, b in zip(acc, maps[i])]
+        if rank(Matrix(k, k, acc)) != k:
+            return False
+    return True
 
 
 def apply_gv(x: QuiverRep, g: GradedMap) -> QuiverRep:

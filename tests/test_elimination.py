@@ -6,7 +6,7 @@ over ``Fraction``, one row operation at a time, with the same pivot policy;
 its read-offs are the ones ``linalg`` used before it had an integer core.
 The reduced row echelon form is unique, so every elimination entry point
 must give exactly the reference's answer.  ``sympy`` supplies an independent
-check of rank, nullspace and solve.
+check of rank, pivot columns, nullspace and solve.
 """
 
 from fractions import Fraction
@@ -27,6 +27,7 @@ from e2quiver.linalg import (
     solve_multi,
     sparse_affine_solve,
     sparse_kernel,
+    sparse_rank,
 )
 
 # derandomized, so that a tier-1 run is repeatable
@@ -158,6 +159,9 @@ def test_every_entry_point_matches_reference(system):
     m = dense(rows, ncols)
     reduced, pivots = oracle_rref(rows, ncols)
     assert linalg._rref(rows, ncols) == (reduced, pivots)
+    # rank and pivots from the forward elimination alone
+    assert linalg._forward(rows, ncols)[1] == pivots
+    assert sparse_rank(rows, ncols) == len(pivots)
     assert pivot_columns(m) == pivots
     assert rank(m) == len(pivots)
     assert column_space_basis(m) == Matrix.from_columns([m.col(j) for j in pivots], rows=m.rows)
@@ -225,7 +229,8 @@ def test_rank_nullspace_solve_agree_with_sympy(sympy, system):
         return
     m = dense(rows, ncols)
     sm = sympy.Matrix([_to_sympy(sympy, m.row(i)) for i in range(m.rows)])
-    assert rank(m) == sm.rank()
+    assert rank(m) == sm.rank() == sparse_rank(rows, ncols)
+    assert pivot_columns(m) == list(sm.rref()[1])
     assert kernel_basis(m) == [_from_sympy(v) for v in sm.nullspace()]
     for b in rhs:
         sb = sympy.Matrix(_to_sympy(sympy, b))

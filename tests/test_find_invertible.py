@@ -6,14 +6,18 @@ odometer grid and a Monte Carlo loop over a Hom basis, and an
 solution space.  Those loops are kept here as the reference, and
 ``_find_invertible`` must give the same verdict on every seeded input: a
 change to the order of the random draws would flip some of the short-trial
-verdicts below.
+verdicts below.  The reference loops form every candidate over ``Fraction``
+with ``_combination`` and test it with ``_gm_invertible``, the per-vertex
+rank check that ``_find_invertible`` used before it formed its candidates
+in integers.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 from e2quiver.euclid import to_quiver
-from e2quiver.linalg import Matrix
+from e2quiver.linalg import Matrix, rank
 from e2quiver.moduli import (
     FramedPoint,
     Partition,
@@ -24,9 +28,9 @@ from e2quiver.moduli import (
     young_module,
 )
 from e2quiver.preproj import (
+    GradedMap,
     _combination,
     _find_invertible,
-    _gm_invertible,
     apply_gv,
     direct_sum,
     hom_basis,
@@ -34,9 +38,18 @@ from e2quiver.preproj import (
 )
 from e2quiver.quiver import DimensionVector, Window
 
-SEEDS = (0, 1)
-TRIALS = (1, 2, 5)
+SEEDS = (0, 1, 2, 3)
+TRIALS = (1, 2, 5, 20)
 SMALL_GRID = 700
+
+
+def _gm_invertible(g: GradedMap) -> bool:
+    for m in g.values():
+        if m.rows != m.cols:
+            return False
+        if m.rows > 0 and rank(m) != m.rows:
+            return False
+    return True
 
 
 def reference_hom_search(basis, d, seed, trials, exhaustive):
@@ -97,6 +110,22 @@ def _hide(x, rng):
     return apply_gv(x, random_gv(x, rng))
 
 
+def _hide_fractional(x, rng):
+    """x under a base change with non-integer entries: a unit triangular
+    pair times a diagonal of fractions, so that the Hom bases between such
+    copies have entries with several different denominators."""
+    g = random_gv(x, rng)
+    for v, m in g.items():
+        n = m.rows
+        scale = [Fraction(rng.randint(1, 3), rng.randint(1, 5)) for _ in range(n)]
+        g[v] = m * Matrix(n, n, [scale[i] if i == j else 0 for i in range(n) for j in range(n)])
+    return apply_gv(x, g)
+
+
+def _denominator(g):
+    return max(a.denominator for m in g.values() for a in m.entries())
+
+
 def _sum(parts):
     total = parts[0]
     for part in parts[1:]:
@@ -126,6 +155,27 @@ def hom_corpus():
     return pairs
 
 
+def fractional_hom_corpus():
+    """(x, y) pairs whose Hom bases have elements with different
+    denominators: sums of 2-3 thin summands, isotypic or not, under
+    fractional base changes, against a fractional copy of themselves
+    (positive) and of a sum with one summand swapped (negative)."""
+    rng = random.Random(13)
+    wide = enumerate_thin_indecomposables(Window(0, 2))
+    narrow = enumerate_thin_indecomposables(Window(0, 1)) + enumerate_thin_indecomposables(Window(1, 2))
+    pairs = []
+    for parts in ([narrow[0], narrow[0]], [narrow[1], narrow[2]], [wide[0], wide[0], narrow[3]]):
+        x = _hide_fractional(_sum(parts), rng)
+        pairs.append((x, _hide_fractional(x, rng)))
+    for k in (2, 3):
+        first, second = rng.sample(range(len(wide)), 2)
+        rest = [narrow[rng.randrange(len(narrow))] for _ in range(k - 1)]
+        x = _hide_fractional(_sum([wide[first]] + rest), rng)
+        pairs.append((x, _hide_fractional(x, rng)))
+        pairs.append((x, _hide_fractional(_sum([wide[second]] + rest), rng)))
+    return pairs
+
+
 def framed_corpus():
     """Framed pairs: Young points against conjugates (stable, one point) and
     against a re-marked generator, re-marked points against conjugates, and
@@ -145,7 +195,7 @@ def framed_corpus():
         rep = to_quiver(young_module(Partition(parts), 0).module)
         zero = FramedPoint(rep, DimensionVector.unit(0), {0: Matrix.zero(rep.dim(0), 1)})
         pairs.append((zero, apply_gv_framed(zero, random_gv(rep, rng))))
-    for x, y in hom_corpus()[:6]:
+    for x, y in hom_corpus()[:6] + fractional_hom_corpus()[:4]:
         zero_x = FramedPoint(x, DimensionVector.unit(1), {1: Matrix.zero(x.dim(1), 1)})
         zero_y = FramedPoint(y, DimensionVector.unit(1), {1: Matrix.zero(y.dim(1), 1)})
         pairs.append((zero_x, zero_y))
@@ -163,18 +213,21 @@ def _modes(d, n):
 def test_hom_search_matches_reference():
     verdicts = {True: 0, False: 0}
     exhaustive = 0
-    for x, y in hom_corpus():
+    mixed = 0
+    for x, y in hom_corpus() + fractional_hom_corpus():
         basis = hom_basis(x, y).basis
         if not basis:
             continue
+        mixed += len({_denominator(g) for g in basis}) > 1
         d = x.total_dim
         for mode in _modes(d, len(basis)):
             got = _find_invertible(basis, **mode)
             assert got == reference_hom_search(basis, d, **mode), (x, y, mode)
             verdicts[got] += 1
             exhaustive += mode["exhaustive"]
-    # the corpus reaches both verdicts and both modes
-    assert verdicts[True] and verdicts[False] and exhaustive
+    # the corpus reaches both verdicts and both modes, and bases whose
+    # elements have different denominators
+    assert verdicts[True] and verdicts[False] and exhaustive and mixed
 
 
 def test_affine_search_matches_reference():

@@ -21,6 +21,7 @@ from e2quiver.preproj import (
     direct_sum,
     end_algebra,
     hom_basis,
+    hom_dim,
     is_indecomposable,
     is_isomorphic,
     is_nilpotent,
@@ -232,6 +233,28 @@ def test_hom_matches_crawley_boevey_count(thin16, young_corpus):
             assert count == homs[j, i]
             forward_misses += count != homs[i, j]
     assert forward_misses > 0
+
+
+def test_hom_dim_is_the_basis_size(thin16, young_corpus):
+    # thin16, the Young modules (windows of every width from one anchor),
+    # conjugated sums of 2-3 thin summands from two windows, and zero
+    # representations on windows inside, beside and around the others
+    from e2quiver.euclid import to_quiver
+
+    rng = random.Random(5)
+    sums = []
+    for k in (2, 2, 3, 3):
+        parts = rng.sample(THIN_POOL, k)
+        total = parts[0]
+        for part in parts[1:]:
+            total = direct_sum(total, part)
+        sums.append(apply_gv(total, random_gv(total, rng)))
+    zeros = [QuiverRep.zero(DimensionVector({}), w) for w in (Window(1, 2), Window(5, 6), Window(-3, 6))]
+    corpora = [list(thin16), [to_quiver(gs.module) for _, gs in young_corpus], sums + zeros + list(thin16[:4])]
+    for reps in corpora:
+        for x in reps:
+            for y in reps:
+                assert hom_dim(x, y) == hom_basis(x, y).dim
 
 
 # --- endomorphism algebras -----------------------------------------------------
