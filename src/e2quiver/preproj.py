@@ -13,7 +13,8 @@ on M itself, read off the Hom basis with no structure constants.  Splitting
 has one mechanism: the primary decomposition of M under one endomorphism
 (the End basis in order, then seeded combinations), whose components
 ker f_i(phi) for the coprime factors f_i of its minimal polynomial are
-submodules with direct sum M.
+submodules with direct sum M.  The f_i come from Yun's square-free blocks
+and their rational roots, found p-adically with no size cap.
 
 Results are exact rationals, but the inner loops under ``decompose`` run on
 Python ints: each input is scaled by the lcm of its denominators and the
@@ -38,7 +39,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -515,15 +516,22 @@ def _squarefree_blocks(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]
     return blocks
 
 
-# The rational-root search factors |a0| and |an| of the integer form by trial
-# division up to their square roots and tries every divisor pair, so it is
-# only attempted when |a0 * an| is at most this.
-_ROOT_SEARCH_LIMIT = 10**12
+def _int_poly_at(coeffs: Sequence[int], x: int) -> int:
+    """An integer polynomial (low-to-high coefficients) at x, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def _rational_roots(p: Sequence[Fraction]) -> list[Fraction] | None:
-    """All rational roots of a nonzero polynomial, ascending; None when its
-    integer form has |a0 * an| above _ROOT_SEARCH_LIMIT (nothing is tried)."""
+def _rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
+    """All rational roots of a nonzero square-free polynomial (a Yun block),
+    ascending.  For its integer form f of degree d and leading coefficient an,
+    g(s) = an^(d-1) f(s/an) is monic with integer roots an times f's rational
+    roots.  Each root of g mod the first odd prime at which all are simple is
+    lifted by Newton's iteration past twice g's Cauchy bound, and exact roots
+    are read off the symmetric residues (Loos, SIAM J. Comput. 12, 1983).
+    Only primes dividing the discriminant are skipped, so nothing is capped."""
     work = _poly_trim(list(p))
     roots = []
     if len(work) > 1 and work[0] == 0:
@@ -532,48 +540,39 @@ def _rational_roots(p: Sequence[Fraction]) -> list[Fraction] | None:
             work = work[1:]
     if len(work) <= 1:
         return roots
-    scale = lcm(*(c.denominator for c in work))
-    ints = [int(c * scale) for c in work]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 * an > _ROOT_SEARCH_LIMIT:
-        return None
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            if gcd(num, den) != 1:
-                continue
-            for signed in (num, -num):
-                # den^deg p(signed / den), by Horner on the homogenized form
-                acc, power = 0, 1
-                for c in reversed(ints):
-                    acc = acc * signed + c * power
-                    power *= den
-                if acc == 0:
-                    roots.append(Fraction(signed, den))
+    ints, _ = scale_to_ints(work)
+    d = len(ints) - 1
+    an = ints[-1]
+    g = [c * an ** (d - 1 - j) for j, c in enumerate(ints[:d])] + [1]
+    deriv = [j * g[j] for j in range(1, d + 1)]
+    bound = 2 * (1 + max(abs(c) for c in g))
+    prime = 1
+    while True:
+        prime += 2
+        if any(prime % q == 0 for q in range(3, isqrt(prime) + 1, 2)):
+            continue
+        reduced = [c % prime for c in g]
+        residues = [r for r in range(prime) if _int_poly_at(reduced, r) % prime == 0]
+        if all(_int_poly_at(deriv, r) % prime for r in residues):
+            break
+    for r in residues:
+        modulus = prime
+        while modulus <= bound:
+            modulus *= modulus
+            r = (r - _int_poly_at(g, r) * pow(_int_poly_at(deriv, r), -1, modulus)) % modulus
+        s = r if 2 * r <= modulus else r - modulus
+        if _int_poly_at(g, s) == 0:
+            roots.append(Fraction(s, an))
     return sorted(roots)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _coprime_factors(minpoly: list[Fraction]) -> list[list[Fraction]] | None:
+def _coprime_factors(minpoly: list[Fraction]) -> list[list[Fraction]]:
     """minpoly as a product of pairwise coprime factors: (t - r)^i for each
     rational root r of a square-free block f_i, and the rest of f_i to the
-    power i.  None when a root search is over its limit."""
+    power i."""
     factors = []
     for f, mult in _squarefree_blocks(minpoly):
-        roots = _rational_roots(f)
-        if roots is None:
-            return None
-        for r in roots:
+        for r in _rational_roots(f):
             linear = [-r, _ONE]
             f = _poly_divmod(f, linear)[0]
             factors.append(_poly_power(linear, mult))
@@ -674,7 +673,7 @@ def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[Component] | None
     for phi in _candidates(end):
         minpoly = reduce(_poly_lcm, {tuple(_minimal_polynomial(phi[v])) for v in vertices})
         factors = _coprime_factors(minpoly)
-        if factors is None or len(factors) < 2:
+        if len(factors) < 2:
             continue
         kernels = [{v: _kernel_at(f, phi[v]) for v in vertices} for f in factors]
         components: list[Component] = [({}, {}) for _ in factors]

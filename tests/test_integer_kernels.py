@@ -259,7 +259,7 @@ def test_minimal_polynomial_and_kernels_match_fraction_powers(corpus):
             block = _minimal_polynomial(m)
             assert block == oracle_minimal_polynomial(m)
             minpoly = _poly_lcm(minpoly, block)
-        for f in _coprime_factors(minpoly) or []:
+        for f in _coprime_factors(minpoly):
             for m in phi.values():
                 assert _kernel_at(f, m) == kernel_basis(oracle_poly_at(f, m))
             factored += 1

@@ -11,10 +11,11 @@ from e2quiver.linalg import Matrix, kernel_basis, rank, solve, solve_multi
 from e2quiver.preproj import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
-    UNRESOLVED,
     QuiverRep,
     _HomLayout,
+    _poly_mul,
     _rational_roots,
+    _squarefree_blocks,
     apply_gv,
     check_relations,
     decompose,
@@ -31,6 +32,7 @@ from e2quiver.preproj import (
 )
 from e2quiver.moduli import enumerate_thin_indecomposables
 from e2quiver.quiver import DimensionVector, Window, double_arrows
+from capped_roots import _rational_roots as capped_rational_roots
 from hom_oracles import crawley_boevey_count
 
 ONE = Matrix.from_rows([[1]])
@@ -510,15 +512,62 @@ def test_rational_roots():
 
 def test_rational_root_search_is_bounded():
     start = time.perf_counter()
-    assert _rational_roots([Fraction(10**24 + 7), Fraction(0), Fraction(1)]) is None
-    assert _rational_roots([Fraction(1), Fraction(0), Fraction(10**24 + 7)]) is None
+    assert _rational_roots([Fraction(10**24 + 7), Fraction(0), Fraction(1)]) == []
+    assert _rational_roots([Fraction(1), Fraction(0), Fraction(10**24 + 7)]) == []
     assert time.perf_counter() - start < 1.0
+
+
+# t^2 - 2, t^2 + 1, t^2 + t + 1, 2t^2 + 3, t^3 - 2, t^3 - t - 1: no rational roots
+IRREDUCIBLE = ((-2, 0, 1), (1, 0, 1), (1, 1, 1), (3, 0, 2), (-2, 0, 0, 1), (-1, -1, 0, 1))
+
+
+def poly_from(roots, others=()):
+    """The product of den t - num over the roots num/den and of the others."""
+    poly = [Fraction(1)]
+    for r in roots:
+        poly = _poly_mul(poly, [Fraction(-r.numerator), Fraction(r.denominator)])
+    for f in others:
+        poly = _poly_mul(poly, [Fraction(c) for c in f])
+    return poly
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)), max_size=5),
+    st.lists(st.sampled_from(IRREDUCIBLE), max_size=2),
+)
+def test_rational_roots_match_the_capped_search(roots, others):
+    # repeated roots and factors are allowed; each Yun block is square-free
+    for block, _ in _squarefree_blocks(poly_from(roots, others)):
+        expected = capped_rational_roots(block)
+        if expected is not None:
+            assert _rational_roots(block) == expected
+
+
+def test_rational_roots_above_the_old_cap_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(12)
+    for _ in range(8):
+        roots = set()
+        for _ in range(rng.randint(1, 4)):
+            num = rng.choice((-1, 1)) * rng.randint(10**9, 10**20 - 1)
+            roots.add(Fraction(num, rng.randint(10**9, 10**20 - 1)))
+        poly = poly_from(roots, rng.sample(IRREDUCIBLE, rng.randint(0, 1)))
+        assert capped_rational_roots(poly) is None
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)]
+        expected = []
+        for factor, _ in sympy.Poly(coeffs, t, domain="QQ").factor_list()[1]:
+            if factor.degree() == 1:
+                c1, c0 = factor.all_coeffs()
+                expected.append(Fraction(int(-c0), int(c1)))
+        assert _rational_roots(poly) == sorted(expected) == sorted(roots)
 
 
 def test_decompose_with_huge_eigenvalues_returns_promptly():
     # u + d + S_0 on [0, 1] under a base change with entries near 10^9: the
     # minimal polynomials of the End basis have constant terms of 20+ digits,
-    # which a trial division up to their square roots would never finish
+    # whose rational roots the p-adic search finds without factoring them
     x = direct_sum(direct_sum(thin_rep(Window(0, 1), "u"), thin_rep(Window(0, 1), "d")), simple_rep(0))
     rng = random.Random(1)
     g = {}
@@ -532,10 +581,8 @@ def test_decompose_with_huge_eigenvalues_returns_promptly():
     parts = decompose(apply_gv(x, g))
     assert time.perf_counter() - start < 5.0
     assert sum((p.dims for p in parts), DimensionVector()) == x.dims
-    # the splits found are genuine; what is left over is unresolved, not split wrongly
-    verdicts = sorted(is_indecomposable(p).verdict for p in parts)
-    assert all(v in (INDECOMPOSABLE, UNRESOLVED) for v in verdicts)
-    assert len(parts) >= 2
+    assert len(parts) == 3
+    assert all(is_indecomposable(p).verdict == INDECOMPOSABLE for p in parts)
 
 
 # --- direct sums ----------------------------------------------------------------
