@@ -107,6 +107,7 @@ def _cmd_from_quiver(args) -> int:
 
 def _cmd_shift(args) -> int:
     m = _euclidean(_module_arg(args))
+    euclid._require_valid(m)
     _emit(euclid.char_shift(m, args.weight).to_json_dict())
     return 0
 
@@ -210,6 +211,7 @@ def _cmd_end_algebra(args) -> int:
 
 def _cmd_apply_word(args) -> int:
     m = _euclidean(_module_arg(args))
+    euclid._require_valid(m)
     word = json.loads(args.word)
     if not isinstance(word, list) or not all(isinstance(w, str) for w in word):
         raise ValueError("--word expects a JSON array of letters")

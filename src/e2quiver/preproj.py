@@ -14,13 +14,15 @@ has one mechanism: the primary decomposition of M under one endomorphism
 (the End basis in order, then seeded combinations), whose components
 ker f_i(phi) for the coprime factors f_i of its minimal polynomial are
 submodules with direct sum M.  The f_i come from Yun's square-free blocks
-and their rational roots, found p-adically with no size cap.
+and their integer roots, found p-adically with no size cap.
 
 Results are exact rationals, but the inner loops under ``decompose`` run on
 Python ints: each input is scaled by the lcm of its denominators and the
 scale is divided out once at the end.  That covers the intertwiner rows of
-the Hom system, the trace pairing, the minimal polynomials and the kernels
-ker f_i(phi).  One inverse per vertex gives the coordinates along every
+the Hom system and the trace pairing.  A split candidate phi is scaled once,
+by one D for all weight spaces, and every polynomial of the split is a
+monic integer polynomial of D phi, whose kernels ker f_i(D phi) are the
+components.  One inverse per weight space gives the coordinates along every
 component, for both the projection and the restriction.
 
 Isomorphism testing and framed equivalence share one search for an
@@ -39,7 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -423,16 +425,16 @@ class IndecomposabilityResult:
     idempotent: GradedMap | None = None
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+def _poly_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     if not p or not q:
         return []
-    out = [_ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -442,8 +444,8 @@ def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
     return _poly_trim(out)
 
 
-def _poly_sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * max(len(p), len(q))
+def _poly_sub(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * max(len(p), len(q))
     for i, a in enumerate(p):
         out[i] += a
     for i, b in enumerate(q):
@@ -451,67 +453,65 @@ def _poly_sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
     return _poly_trim(out)
 
 
-def _poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    q = list(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
+def _poly_quo(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """p / q for a monic q that divides p."""
     rem = list(p)
-    quot = [_ZERO] * max(0, len(rem) - len(q) + 1)
-    lead = q[-1]
-    while len(rem) >= len(q):
-        f = rem[-1] / lead
-        d = len(rem) - len(q)
-        quot[d] = f
+    quot = [0] * max(0, len(rem) - len(q) + 1)
+    for d in reversed(range(len(quot))):
+        f = quot[d] = rem[d + len(q) - 1]
         for i, b in enumerate(q):
             rem[d + i] -= f * b
-        _poly_trim(rem)
-        if not rem:
-            break
-    return _poly_trim(quot), rem
+    return quot
 
 
-def _poly_monic(p: Sequence[Fraction]) -> list[Fraction]:
-    p = _poly_trim(list(p))
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
+def _poly_primitive(p: Sequence[int]) -> list[int]:
+    g = gcd(*p)
+    return [c // g for c in p]
 
 
-def _poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(list(p)), _poly_trim(list(q))
+def _poly_gcd(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """The monic gcd of a monic p and any q: the primitive part of the last
+    nonzero pseudo-remainder (Collins, J. ACM 14, 1967).  It divides p, so
+    its leading coefficient is 1 or -1."""
+    a, b = list(p), _poly_primitive(q)
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_monic(a)
+        rem = a
+        while len(rem) >= len(b):
+            f, d = rem[-1], len(rem) - len(b)
+            rem = [c * b[-1] for c in rem]
+            for i, c in enumerate(b):
+                rem[d + i] -= f * c
+            _poly_trim(rem)
+        a, b = b, _poly_primitive(rem)
+    return a if a[-1] > 0 else [-c for c in a]
 
 
-def _poly_lcm(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    return _poly_monic(_poly_divmod(_poly_mul(p, q), _poly_gcd(p, q))[0])
+def _poly_lcm(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    return _poly_quo(_poly_mul(p, q), _poly_gcd(p, q))
 
 
-def _poly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
+def _poly_deriv(p: Sequence[int]) -> list[int]:
     return _poly_trim([p[i] * i for i in range(1, len(p))])
 
 
-def _squarefree_blocks(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's square-free decomposition p = prod f_i^i (nonconstant f_i only)."""
-    p = _poly_monic(p)
+def _squarefree_blocks(p: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition p = prod f_i^i of a monic integer
+    polynomial (nonconstant f_i only, each monic with integer coefficients)."""
     if len(p) <= 1:
         return []
     g = _poly_gcd(p, _poly_deriv(p))
     if len(g) <= 1:
-        return [(p, 1)]
-    c, _ = _poly_divmod(p, g)
-    d = _poly_sub(_poly_divmod(_poly_deriv(p), g)[0], _poly_deriv(c))
+        return [(list(p), 1)]
+    c = _poly_quo(p, g)
+    d = _poly_sub(_poly_quo(_poly_deriv(p), g), _poly_deriv(c))
     blocks = []
     i = 1
     while len(c) > 1:
         h = _poly_gcd(c, d)
         if len(h) > 1:
             blocks.append((h, i))
-        c, _ = _poly_divmod(c, h)
-        d = _poly_sub(_poly_divmod(d, h)[0], _poly_deriv(c))
+        c = _poly_quo(c, h)
+        d = _poly_sub(_poly_quo(d, h), _poly_deriv(c))
         i += 1
     return blocks
 
@@ -524,27 +524,14 @@ def _int_poly_at(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def _rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of a nonzero square-free polynomial (a Yun block),
-    ascending.  For its integer form f of degree d and leading coefficient an,
-    g(s) = an^(d-1) f(s/an) is monic with integer roots an times f's rational
-    roots.  Each root of g mod the first odd prime at which all are simple is
-    lifted by Newton's iteration past twice g's Cauchy bound, and exact roots
-    are read off the symmetric residues (Loos, SIAM J. Comput. 12, 1983).
-    Only primes dividing the discriminant are skipped, so nothing is capped."""
-    work = _poly_trim(list(p))
-    roots = []
-    if len(work) > 1 and work[0] == 0:
-        roots.append(_ZERO)
-        while work[0] == 0:
-            work = work[1:]
-    if len(work) <= 1:
-        return roots
-    ints, _ = scale_to_ints(work)
-    d = len(ints) - 1
-    an = ints[-1]
-    g = [c * an ** (d - 1 - j) for j, c in enumerate(ints[:d])] + [1]
-    deriv = [j * g[j] for j in range(1, d + 1)]
+def _integer_roots(g: Sequence[int]) -> list[int]:
+    """All integer roots of a monic square-free integer polynomial (a Yun
+    block), ascending; being monic, g has no other rational roots.  Each
+    root of g mod the first odd prime at which all are simple is lifted by
+    Newton's iteration past twice g's Cauchy bound, and exact roots are read
+    off the symmetric residues (Loos, SIAM J. Comput. 12, 1983).  Only
+    primes dividing the discriminant are skipped, so nothing is capped."""
+    deriv = [j * g[j] for j in range(1, len(g))]
     bound = 2 * (1 + max(abs(c) for c in g))
     prime = 1
     while True:
@@ -555,6 +542,7 @@ def _rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
         residues = [r for r in range(prime) if _int_poly_at(reduced, r) % prime == 0]
         if all(_int_poly_at(deriv, r) % prime for r in residues):
             break
+    roots = []
     for r in residues:
         modulus = prime
         while modulus <= bound:
@@ -562,36 +550,30 @@ def _rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
             r = (r - _int_poly_at(g, r) * pow(_int_poly_at(deriv, r), -1, modulus)) % modulus
         s = r if 2 * r <= modulus else r - modulus
         if _int_poly_at(g, s) == 0:
-            roots.append(Fraction(s, an))
+            roots.append(s)
     return sorted(roots)
 
 
-def _coprime_factors(minpoly: list[Fraction]) -> list[list[Fraction]]:
-    """minpoly as a product of pairwise coprime factors: (t - r)^i for each
-    rational root r of a square-free block f_i, and the rest of f_i to the
-    power i."""
+def _coprime_factors(minpoly: Sequence[int]) -> list[list[int]]:
+    """A monic integer minpoly as a product of pairwise coprime monic
+    factors: (t - r)^i for each integer root r of a square-free block f_i,
+    and the rest of f_i to the power i."""
     factors = []
     for f, mult in _squarefree_blocks(minpoly):
-        for r in _rational_roots(f):
-            linear = [-r, _ONE]
-            f = _poly_divmod(f, linear)[0]
+        for r in _integer_roots(f):
+            linear = [-r, 1]
+            f = _poly_quo(f, linear)
             factors.append(_poly_power(linear, mult))
         if len(f) > 1:
             factors.append(_poly_power(f, mult))
     return factors
 
 
-def _poly_power(p: list[Fraction], k: int) -> list[Fraction]:
-    out = [_ONE]
+def _poly_power(p: list[int], k: int) -> list[int]:
+    out = [1]
     for _ in range(k):
         out = _poly_mul(out, p)
     return out
-
-
-def _scaled_block(m: Matrix) -> tuple[list[list[int]], int]:
-    """The integer rows of den * m for the lcm den of m's denominators, and den."""
-    ints, den = scale_to_ints(m.entries())
-    return [ints[r * m.cols : (r + 1) * m.cols] for r in range(m.rows)], den
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -599,43 +581,31 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
-def _minimal_polynomial(m: Matrix) -> list[Fraction]:
-    """Minimal polynomial of a square matrix (monic, low-to-high coefficients).
+def _minimal_polynomial(block: list[list[int]]) -> list[int]:
+    """Minimal polynomial of a square integer matrix M (low-to-high coefficients).
 
-    Read off the integer matrix M = den * m: the powers I, M, ..., M^d are
-    linearly dependent.  The first free column k of their stacked entries is
-    the degree, and every later column is free too, so the first
-    pivot-normalized kernel vector (1 at t^k, 0 above) is M's minimal
-    polynomial q.  That of m is q(den * t) / den^k, whose roots are q's
-    divided by den.
+    The powers I, M, ..., M^d are linearly dependent.  The first free column
+    k of their stacked entries is the degree, and every later column is free
+    too, so the first pivot-normalized kernel vector (1 at t^k, 0 above) is
+    the minimal polynomial.  By Gauss's lemma it is monic with integer
+    coefficients.
     """
-    d = m.rows
-    block, den = _scaled_block(m)
+    d = len(block)
     power = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     flat = [[e for row in power for e in row]]
     for _ in range(d):
         power = _int_matmul(power, block)
         flat.append([e for row in power for e in row])
     stacked = [{j: e for j, e in enumerate(entry) if e} for entry in zip(*flat)]
-    q = _poly_trim(list(sparse_kernel(stacked, d + 1)[0]))
-    k = len(q) - 1
-    return [c / den ** (k - j) for j, c in enumerate(q)] if den != 1 else q
+    return _poly_trim([int(c) for c in sparse_kernel(stacked, d + 1)[0]])
 
 
-def _kernel_at(f: Sequence[Fraction], m: Matrix) -> list[Vector]:
-    """Pivot-normalized basis of ker f(m).
-
-    The kernel is that of the integer multiple den^e L f(m) = sum a_j M^j,
-    with M = den * m, e = deg f, L the lcm of f's denominators and
-    a_j = L f_j den^(e - j), evaluated by Horner's rule.
-    """
-    d = m.rows
-    block, den = _scaled_block(m)
-    coeffs, _ = scale_to_ints(f)
-    e = len(coeffs) - 1
-    a = [c * den ** (e - j) for j, c in enumerate(coeffs)]
-    acc = [[a[e] if i == j else 0 for j in range(d)] for i in range(d)]
-    for c in reversed(a[:e]):
+def _kernel_at(f: Sequence[int], block: list[list[int]]) -> list[Vector]:
+    """Pivot-normalized basis of ker f(M) for a monic integer polynomial f
+    and a square integer matrix M, with f(M) evaluated by Horner's rule."""
+    d = len(block)
+    acc = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    for c in reversed(f[:-1]):
         acc = _int_matmul(acc, block)
         for i in range(d):
             acc[i][i] += c
@@ -663,30 +633,36 @@ def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[Component] | None
     """The primary decomposition of x under the first candidate endomorphism
     phi whose minimal polynomial has two or more coprime factors f_i.
 
-    Each component is ker f_i(phi); it is a submodule because phi commutes
-    with the arrows, and x is the direct sum of the components (Fitting's
-    lemma).  phi is graded, so its minimal polynomial is the lcm of those of
-    its blocks.  One inverse of [B_1 ... B_k] per vertex gives every
-    component's coordinate rows.  None when no candidate splits.
+    phi is scaled once to the integer map D phi, with D the lcm of its
+    denominators over all weight spaces.  The minimal polynomial of D phi is
+    monic with integer coefficients, and so are the f_i; each component is
+    ker f_i(D phi).  It is a submodule because phi commutes with the arrows,
+    and x is the direct sum of the components (Fitting's lemma).  phi is
+    graded, so its minimal polynomial is the lcm of those of its nonempty
+    blocks; empty weight spaces add no columns.  One inverse of
+    [B_1 ... B_k] per nonempty weight space gives every component's
+    coordinate rows.  None when no candidate splits.
     """
-    vertices = list(x.window.vertices())
+    vertices = [v for v, m in end.basis[0].items() if m.rows]
+    empty = {v: Matrix.zero(0, 0) for v in x.window.vertices()}
     for phi in _candidates(end):
-        minpoly = reduce(_poly_lcm, {tuple(_minimal_polynomial(phi[v])) for v in vertices})
+        blocks = [[flat[r * k : (r + 1) * k] for r in range(k)] for k, (flat,) in _scaled_blocks([phi])]
+        minpoly = reduce(_poly_lcm, {tuple(_minimal_polynomial(block)) for block in blocks})
         factors = _coprime_factors(minpoly)
         if len(factors) < 2:
             continue
-        kernels = [{v: _kernel_at(f, phi[v]) for v in vertices} for f in factors]
-        components: list[Component] = [({}, {}) for _ in factors]
-        for v in vertices:
+        kernels = [[_kernel_at(f, block) for block in blocks] for f in factors]
+        components: list[Component] = [(dict(empty), dict(empty)) for _ in factors]
+        for i, v in enumerate(vertices):
             n = x.dim(v)
-            columns = [col for kernel in kernels for col in kernel[v]]
+            columns = [col for kernel in kernels for col in kernel[i]]
             if len(columns) != n:
                 raise AssertionError(f"primary components do not fill weight {v}")
-            inv = inverse(Matrix(n, n, (col[i] for i in range(n) for col in columns))).entries()
+            inv = inverse(Matrix(n, n, (col[r] for r in range(n) for col in columns))).entries()
             first = 0
             for (basis, coords), kernel in zip(components, kernels):
-                k = len(kernel[v])
-                basis[v] = Matrix(n, k, (col[i] for i in range(n) for col in kernel[v]))
+                k = len(kernel[i])
+                basis[v] = Matrix(n, k, (col[r] for r in range(n) for col in kernel[i]))
                 coords[v] = Matrix(k, n, inv[first * n : (first + k) * n])
                 first += k
         return components

@@ -128,6 +128,27 @@ def test_shift_command(capsys, tmp_path, hook_module_path):
     assert doc["dims"] == {"1": 1, "2": 1, "3": 1}
 
 
+# A module that breaks the commutator relation and one with a map of the
+# wrong shape: verify reports both, and shift and apply-word once printed a
+# result for them and exited 0.
+INVALID_MODULES = {
+    "commutator": {"dims": {"0": 1, "1": 1}, "p_plus": {"0": [["1"]]}, "p_minus": {"1": [["1"]]}},
+    "shape": {"dims": {"0": 1}, "p_plus": {"0": [["1", "2"]]}},
+}
+
+
+@pytest.mark.parametrize("module", INVALID_MODULES)
+@pytest.mark.parametrize(
+    "argv", [["shift", "--weight", "2"], ["apply-word", "--word", '["P+"]', "--vector", '{"0": ["1"]}']]
+)
+def test_invalid_module_exits_1(capsys, tmp_path, module, argv):
+    path = write_json(tmp_path / "module.json", INVALID_MODULES[module])
+    assert run_cli(capsys, "verify", "--module", path)[0] == 1
+    code, out, err = run_cli(capsys, argv[0], "--module", path, *argv[1:])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"].startswith("invalid module: ")
+
+
 def test_stable_command(capsys, tmp_path):
     p = framed_point(young_module(Partition.of(3, 1), 0))
     path = write_json(tmp_path / "framed.json", p.to_json_dict())

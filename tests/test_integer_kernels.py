@@ -4,14 +4,16 @@ Each oracle below is the Fraction implementation that the package used
 before its integer form: the dict-keyed trace-form Gram loop, the minimal
 polynomial from Fraction matrix powers with Horner evaluation of a
 polynomial at a matrix, the Fraction intertwiner rows, and the restriction
-to a submodule by one solve per arrow.  The new code must agree with them
-exactly.  The corpus has sums of two thin representatives, isotypic squares
-of Young modules and modules conjugated by base changes with non-integer
-entries, so that the scaling by common denominators is exercised.
+to a submodule by one solve per arrow; the Fraction polynomial layer of the
+split is in fraction_polys.  The new code must agree with them exactly.
+The corpus has sums of two thin representatives, isotypic squares of Young
+modules and modules conjugated by base changes with non-integer entries, so
+that the scaling by common denominators is exercised.
 """
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -35,6 +37,7 @@ from e2quiver.preproj import (
     _poly_lcm,
     _poly_trim,
     _primary_components,
+    _scaled_blocks,
     apply_gv,
     direct_sum,
     end_algebra,
@@ -43,6 +46,7 @@ from e2quiver.preproj import (
     trace_pairing,
 )
 from e2quiver.quiver import DimensionVector, double_arrows
+import fraction_polys
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -251,17 +255,33 @@ def _endomorphisms(corpus):
         yield from basis[:3]
 
 
+def integer_blocks(phi):
+    """The nonempty blocks of D phi as integer rows, D the lcm of phi's
+    denominators over all weight spaces."""
+    return [[flat[r * k : (r + 1) * k] for r in range(k)] for k, (flat,) in _scaled_blocks([phi])]
+
+
 def test_minimal_polynomial_and_kernels_match_fraction_powers(corpus):
     factored = 0
     for phi in _endomorphisms(corpus):
-        minpoly = [ONE]
-        for m in phi.values():
-            block = _minimal_polynomial(m)
-            assert block == oracle_minimal_polynomial(m)
-            minpoly = _poly_lcm(minpoly, block)
-        for f in _coprime_factors(minpoly):
-            for m in phi.values():
-                assert _kernel_at(f, m) == kernel_basis(oracle_poly_at(f, m))
+        matrices = [m for m in phi.values() if m.rows]
+        blocks = integer_blocks(phi)
+        minpoly = [1]
+        for block in blocks:
+            poly = _minimal_polynomial(block)
+            assert poly == oracle_minimal_polynomial(Matrix.from_rows(block))
+            minpoly = _poly_lcm(minpoly, poly)
+        # phi's own minimal polynomial factors in the same order, its factors
+        # g matching f = D^deg(g) g(t / D), with ker f(D phi) = ker g(phi)
+        fraction_minpoly = reduce(fraction_polys._poly_lcm, map(oracle_minimal_polynomial, matrices), [ONE])
+        fraction_factors = fraction_polys._coprime_factors(fraction_minpoly)
+        factors = _coprime_factors(minpoly)
+        assert len(factors) == len(fraction_factors)
+        for f, g in zip(factors, fraction_factors):
+            for block, m in zip(blocks, matrices):
+                kernel = _kernel_at(f, block)
+                assert kernel == kernel_basis(oracle_poly_at(f, Matrix.from_rows(block)))
+                assert kernel == kernel_basis(oracle_poly_at(g, m))
             factored += 1
     assert factored > 40
 
@@ -323,5 +343,6 @@ def test_minimal_polynomial_agrees_with_sympy(corpus):
         matrices.append(g * Matrix.from_rows(jordan) * inverse(g))
     matrices += [m for phi in list(_endomorphisms(corpus[-4:]))[::3] for m in phi.values() if 0 < m.rows <= 4]
     for m in matrices:
-        assert _minimal_polynomial(m) == sympy_minimal_polynomial(sympy, m)
+        (block,) = integer_blocks({0: m})
+        assert _minimal_polynomial(block) == sympy_minimal_polynomial(sympy, Matrix.from_rows(block))
 

@@ -2,20 +2,22 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e2quiver.linalg import Matrix, kernel_basis, rank, solve, solve_multi
+from e2quiver.linalg import Matrix, kernel_basis, rank, scale_to_ints, solve, solve_multi
 from e2quiver.preproj import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
     QuiverRep,
     _HomLayout,
-    _poly_mul,
-    _rational_roots,
-    _squarefree_blocks,
+    _coprime_factors,
+    _integer_roots,
+    _poly_deriv,
+    _poly_gcd,
     apply_gv,
     check_relations,
     decompose,
@@ -32,6 +34,7 @@ from e2quiver.preproj import (
 )
 from e2quiver.moduli import enumerate_thin_indecomposables
 from e2quiver.quiver import DimensionVector, Window, double_arrows
+import fraction_polys
 from capped_roots import _rational_roots as capped_rational_roots
 from hom_oracles import crawley_boevey_count
 
@@ -504,16 +507,27 @@ def test_decompose_recovers_hidden_summands(picks, seed):
         unused.pop(match)
 
 
+def rational_roots(p):
+    """The rational roots of a square-free Fraction polynomial through the
+    integer search: for its integer form f of degree d and leading
+    coefficient an, g(s) = an^(d-1) f(s/an) is monic with integer roots an
+    times f's rational roots."""
+    ints, _ = scale_to_ints(fraction_polys._poly_trim(list(p)))
+    d, an = len(ints) - 1, ints[-1]
+    g = [c * an ** (d - 1 - j) for j, c in enumerate(ints[:d])] + [1]
+    return sorted(Fraction(s, an) for s in _integer_roots(g))
+
+
 def test_rational_roots():
     # t (t - 2) (2t + 3) = 2t^3 - t^2 - 6t
-    assert _rational_roots([Fraction(c) for c in (0, -6, -1, 2)]) == [Fraction(-3, 2), 0, 2]
-    assert _rational_roots([Fraction(-2), Fraction(0), Fraction(1)]) == []
+    assert rational_roots([Fraction(c) for c in (0, -6, -1, 2)]) == [Fraction(-3, 2), 0, 2]
+    assert rational_roots([Fraction(-2), Fraction(0), Fraction(1)]) == []
 
 
 def test_rational_root_search_is_bounded():
     start = time.perf_counter()
-    assert _rational_roots([Fraction(10**24 + 7), Fraction(0), Fraction(1)]) == []
-    assert _rational_roots([Fraction(1), Fraction(0), Fraction(10**24 + 7)]) == []
+    assert rational_roots([Fraction(10**24 + 7), Fraction(0), Fraction(1)]) == []
+    assert rational_roots([Fraction(1), Fraction(0), Fraction(10**24 + 7)]) == []
     assert time.perf_counter() - start < 1.0
 
 
@@ -525,9 +539,9 @@ def poly_from(roots, others=()):
     """The product of den t - num over the roots num/den and of the others."""
     poly = [Fraction(1)]
     for r in roots:
-        poly = _poly_mul(poly, [Fraction(-r.numerator), Fraction(r.denominator)])
+        poly = fraction_polys._poly_mul(poly, [Fraction(-r.numerator), Fraction(r.denominator)])
     for f in others:
-        poly = _poly_mul(poly, [Fraction(c) for c in f])
+        poly = fraction_polys._poly_mul(poly, [Fraction(c) for c in f])
     return poly
 
 
@@ -538,10 +552,44 @@ def poly_from(roots, others=()):
 )
 def test_rational_roots_match_the_capped_search(roots, others):
     # repeated roots and factors are allowed; each Yun block is square-free
-    for block, _ in _squarefree_blocks(poly_from(roots, others)):
+    for block, _ in fraction_polys._squarefree_blocks(poly_from(roots, others)):
         expected = capped_rational_roots(block)
         if expected is not None:
-            assert _rational_roots(block) == expected
+            assert rational_roots(block) == expected
+
+
+def scaled_monic(f, den):
+    """den^deg(f) f(t / den) for a monic f."""
+    return [c * den ** (len(f) - 1 - j) for j, c in enumerate(f)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)), st.integers(1, 3)), max_size=4),
+    st.lists(st.tuples(st.sampled_from(IRREDUCIBLE), st.integers(1, 2)), max_size=2),
+    st.integers(2, 4),
+)
+def test_integer_factors_match_the_fraction_factors(roots, others, extra):
+    # a monic rational p and the monic integer D^deg(p) p(t / D), D > 1
+    # a multiple of p's denominators: the factors correspond under t -> t / D
+    poly = poly_from([r for r, i in roots for _ in range(i)], [f for f, i in others for _ in range(i)])
+    monic = fraction_polys._poly_monic(poly)
+    den = lcm(*(c.denominator for c in monic)) * extra
+    scaled = scaled_monic(monic, den)
+    assert all(c.denominator == 1 for c in scaled)
+    factors = _coprime_factors([int(c) for c in scaled])
+    assert factors == [scaled_monic(f, den) for f in fraction_polys._coprime_factors(monic)]
+    assert all(type(c) is int and f[-1] == 1 for f in factors for c in f)
+
+
+def test_gcd_with_a_non_primitive_second_argument():
+    # t^n and its derivative n t^(n-1), whose content is n
+    for n in range(1, 8):
+        p = [0] * n + [1]
+        assert _poly_gcd(p, _poly_deriv(p)) == [0] * (n - 1) + [1]
+    # (t - 1)^2 (t + 2) and 6 (t - 1)(t + 5)
+    p, q = [2, -3, 0, 1], [-30, 24, 6]
+    assert _poly_gcd(p, q) == [-1, 1] == fraction_polys._poly_gcd([Fraction(c) for c in p], [Fraction(c) for c in q])
 
 
 def test_rational_roots_above_the_old_cap_agree_with_sympy():
@@ -561,7 +609,7 @@ def test_rational_roots_above_the_old_cap_agree_with_sympy():
             if factor.degree() == 1:
                 c1, c0 = factor.all_coeffs()
                 expected.append(Fraction(int(-c0), int(c1)))
-        assert _rational_roots(poly) == sorted(expected) == sorted(roots)
+        assert rational_roots(poly) == sorted(expected) == sorted(roots)
 
 
 def test_decompose_with_huge_eigenvalues_returns_promptly():
