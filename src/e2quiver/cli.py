@@ -182,11 +182,9 @@ def _cmd_framed_iso(args) -> int:
 
 def _cmd_decompose(args) -> int:
     x = _quiver_rep(_module_arg(args))
-    summands = preproj.decompose(x)
     docs = []
     complete = True
-    for part in summands:
-        verdict = preproj.is_indecomposable(part).verdict
+    for part, verdict in preproj._decompose(x):
         if verdict != preproj.INDECOMPOSABLE:
             complete = False
         doc = part.to_json_dict()

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import e2quiver
+from e2quiver import preproj
 from e2quiver.cli import main
 from e2quiver.euclid import EuclideanModule, from_quiver, to_quiver
-from e2quiver.moduli import Partition, framed_point, young_module
+from e2quiver.moduli import Partition, enumerate_thin_indecomposables, framed_point, young_module
 from e2quiver.preproj import QuiverRep, apply_gv, direct_sum, random_gv
+from e2quiver.quiver import Window
 
 
 def run_cli(capsys, *argv):
@@ -347,6 +349,27 @@ def test_decompose_output_is_deterministic(capsys, tmp_path):
     _, out2, _ = run_cli(capsys, "decompose", "--module", path)
     assert json.loads(out1)["count"] == 3
     assert out1 == out2
+
+
+def test_decompose_command_computes_each_end_once(capsys, tmp_path, monkeypatch):
+    # a hidden sum of three thin summands, one repeated: the recursion takes
+    # End of the five modules it visits, and each summand's verdict is the
+    # one that End gave (a second End per summand made it 8)
+    thin = enumerate_thin_indecomposables(Window(0, 2))
+    total = direct_sum(direct_sum(thin[0], thin[3]), thin[0])
+    x = apply_gv(total, random_gv(total, random.Random(4)))
+    path = write_json(tmp_path / "sum.json", x.to_json_dict())
+    calls = []
+    end_algebra = preproj.end_algebra
+
+    def counted(rep):
+        calls.append(rep)
+        return end_algebra(rep)
+
+    monkeypatch.setattr(preproj, "end_algebra", counted)
+    doc = run_json(capsys, "decompose", "--module", path)
+    assert len(calls) == 5
+    assert doc["count"] == 3 and doc["complete"] is True
 
 
 def test_end_algebra_command(capsys, tmp_path):

@@ -10,11 +10,18 @@ verdicts below.  The reference loops form every candidate over ``Fraction``
 with ``_combination`` and test it with ``_gm_invertible``, the per-vertex
 rank check that ``_find_invertible`` used before it formed its candidates
 in integers.
+
+``_gm_invertible`` is also the oracle for ``_invertible``, the fraction-free
+(Bareiss) test of the integer candidate blocks, and ``reference_is_isomorphic``
+keeps the order ``is_isomorphic`` had before it drew a few witnesses ahead of
+the Hom-dimension fast paths.
 """
 
 import itertools
 import random
 from fractions import Fraction
+
+import pytest
 
 from e2quiver.euclid import to_quiver
 from e2quiver.linalg import Matrix, rank
@@ -28,12 +35,19 @@ from e2quiver.moduli import (
     young_module,
 )
 from e2quiver.preproj import (
+    _GRID_LIMIT,
+    _WITNESS_DRAWS,
     GradedMap,
+    _attempts,
     _combination,
     _find_invertible,
+    _invertible,
+    _scaled_blocks,
     apply_gv,
     direct_sum,
     hom_basis,
+    hom_dim,
+    is_isomorphic,
     random_gv,
 )
 from e2quiver.quiver import DimensionVector, Window
@@ -245,3 +259,174 @@ def test_affine_search_matches_reference():
             exhaustive += mode["exhaustive"]
     assert verdicts[True] and verdicts[False] and exhaustive
 
+
+
+def _search_blocks(basis):
+    """_invertible's blocks for square maps: each vertex block's entries as
+    columns of their values in the maps, as _find_invertible reads them."""
+    return [(k, list(zip(*maps))) for k, maps in _scaled_blocks(basis)]
+
+
+def _square_maps(*blocks_per_map):
+    """Graded maps on the vertices 0, 1, ... with the given square integer
+    blocks (lists of rows)."""
+    return [{v: Matrix.from_rows(rows) for v, rows in enumerate(blocks)} for blocks in blocks_per_map]
+
+
+def _assert_matches_rank(basis, coeffs):
+    got = _invertible(_search_blocks(basis), coeffs)
+    assert got == _gm_invertible(_combination(basis, coeffs)), (basis, coeffs)
+    return got
+
+
+def test_bareiss_on_1x1_blocks():
+    basis = _square_maps([[[3]], [[-2]]], [[[-3]], [[5]]])
+    assert _assert_matches_rank(basis, [1, 0])
+    assert not _assert_matches_rank(basis, [1, 1])  # the first vertex cancels
+    assert _assert_matches_rank(basis, [2, 1])
+
+
+def test_bareiss_swaps_rows_for_a_zero_first_column():
+    basis = _square_maps([[[0, 1], [1, 0]]], [[[0, 0, 1], [0, 1, 0], [1, 0, 0]]])
+    for b in basis:
+        assert _assert_matches_rank([b], [1])
+    # zero first column below a zero pivot: a row swap finds the pivot, and
+    # a column with no nonzero entry left makes the block singular
+    assert _assert_matches_rank(_square_maps([[[0, 2, 1], [0, 1, 0], [3, 0, 4]]]), [1])
+    assert not _assert_matches_rank(_square_maps([[[0, 2, 1], [0, 1, 0], [0, 5, 4]]]), [1])
+
+
+def test_bareiss_finds_singular_blocks_with_nonzero_pivots():
+    for rows in ([[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[2, 3, 5], [1, 1, 1], [3, 4, 6]]):
+        assert not _assert_matches_rank(_square_maps([rows]), [1])
+    # a nonsingular first vertex does not hide a singular second one
+    assert not _assert_matches_rank(_square_maps([[[1, 0], [0, 1]], [[1, 2], [3, 6]]]), [1])
+
+
+def test_bareiss_rejects_the_all_zero_candidate():
+    basis = _square_maps([[[1, 0], [0, 1]], [[2]]], [[[0, 1], [1, 0]], [[1]]])
+    assert not _assert_matches_rank(basis, [0, 0])
+
+
+def test_bareiss_is_exact_near_10_9():
+    rng = random.Random(21)
+    big = 10**9
+    for k in range(1, 6):
+        for _ in range(20):
+            rows = [[rng.choice((1, -1)) * (big + rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
+            if k > 1 and rng.random() < 0.5:
+                # the last row the sum of two earlier ones (of the first
+                # with itself when k = 2): singular, with nonzero pivots
+                # before the last
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1 % (k - 1)])]
+            other = [[rng.randint(-big, big) for _ in range(k)] for _ in range(k)]
+            basis = _square_maps([rows], [other])
+            for coeffs in ([1, 0], [0, 1], [1, 1], [big, -1]):
+                _assert_matches_rank(basis, coeffs)
+
+
+def test_bareiss_matches_rank_on_random_rank_deficient_blocks():
+    rng = random.Random(22)
+    singular = 0
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        r = rng.randint(0, k)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(k)]
+        right = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+        rows = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(k)] for i in range(k)]
+        singular += not _assert_matches_rank(_square_maps([rows]), [1])
+    assert singular > 100
+
+
+def reference_is_isomorphic(x, y):
+    """is_isomorphic with every fast path ahead of the search, as a function
+    of the search's keyword arguments (the fast paths do not depend on them,
+    so a corpus pair runs them once for all its modes)."""
+    if x.dims != y.dims:
+        return lambda **mode: False
+    if x.total_dim == 0:
+        return lambda **mode: True
+    forward = hom_basis(x, y)
+    if forward.dim == 0:
+        return lambda **mode: False
+    if forward.dim != hom_dim(y, x):
+        return lambda **mode: False
+    if hom_dim(x, x) != hom_dim(y, y):
+        return lambda **mode: False
+    return lambda **mode: _find_invertible(forward.basis, **mode)
+
+
+def _same_homs(x, y):
+    return hom_dim(x, y) == hom_dim(y, x) and hom_dim(x, x) == hom_dim(y, y)
+
+
+def iso_corpus():
+    """Named (x, y) pairs for the isomorphism test: hidden sums of 2-3 thin
+    summands against a re-hidden copy (pos), against a sum with one summand
+    swapped whose Hom dimensions differ (neg) or agree (neg_eq, found as the
+    benchmark's equal-Hom negatives are), and pairs with dim Hom(x, y) = 1,
+    an indecomposable against a hidden copy and against another one."""
+    rng = random.Random(23)
+    wide = enumerate_thin_indecomposables(Window(0, 3))
+    narrow = [m for a in range(3) for m in enumerate_thin_indecomposables(Window(a, a + 1))]
+    pairs = []
+    # the first pair's seed-3 draws find no witness before the fourth draw
+    for parts in ([wide[1], narrow[1], narrow[2]], [wide[0], narrow[1]], [wide[2], wide[6], narrow[0]]):
+        x = _hide(_sum(parts), rng)
+        pairs.append(("pos", x, _hide(x, rng)))
+    wanted = {"neg": 2, "neg_eq": 3}
+    while any(wanted.values()):
+        a, b = rng.sample(range(len(wide)), 2)
+        rest = [narrow[rng.randrange(len(narrow))] for _ in range(rng.randint(1, 2))]
+        left, right = _sum([wide[a]] + rest), _sum([wide[b]] + rest)
+        kind = "neg_eq" if _same_homs(left, right) else "neg"
+        if wanted[kind]:
+            wanted[kind] -= 1
+            pairs.append((kind, _hide(left, rng), _hide(right, rng)))
+    pairs.append(("pos_hom1", _hide(wide[3], rng), _hide(wide[3], rng)))
+    pairs.append(("neg_hom1", _hide(wide[0], rng), _hide(wide[1], rng)))
+    return pairs
+
+
+def test_witness_first_keeps_every_verdict():
+    seen = set()
+    for kind, x, y in iso_corpus():
+        basis = hom_basis(x, y).basis
+        reference = reference_is_isomorphic(x, y)
+        assert (len(basis) == 1) == kind.endswith("hom1"), kind
+        for seed in SEEDS:
+            draws = list(_attempts(basis, seed=seed, trials=20, exhaustive=False))
+            if True in draws and draws.index(True) >= _WITNESS_DRAWS:
+                seen.add((kind, "late witness"))
+            for trials in (0, 1, 2, 3, 4, 20):
+                got = is_isomorphic(x, y, seed=seed, trials=trials)
+                assert got == reference(seed=seed, trials=trials, exhaustive=False), (kind, seed, trials)
+                seen.add((kind, got))
+        if (x.total_dim + 1) ** len(basis) <= SMALL_GRID:
+            got = is_isomorphic(x, y, exhaustive=True)
+            assert got == reference(seed=0, trials=20, exhaustive=True), kind
+            seen.add(("exhaustive", got))
+    # both verdicts on the positives (few trials miss), a witness found only
+    # after the fast paths, and both verdicts on the grid; no negative is
+    # ever found isomorphic
+    assert {("pos", True), ("pos", False), ("pos", "late witness"), ("pos_hom1", True)} <= seen
+    assert {("exhaustive", True), ("exhaustive", False)} <= seen
+    assert not {(kind, True) for kind in ("neg", "neg_eq", "neg_hom1")} & seen
+
+
+def test_exhaustive_fast_paths_still_come_before_the_grid_check():
+    # an unequal-Hom negative whose grid is over the limit is rejected by the
+    # fast paths, as before; a positive with such a grid raises, as before
+    wide = enumerate_thin_indecomposables(Window(0, 3))
+    narrow = enumerate_thin_indecomposables(Window(0, 1))
+    x = _sum([wide[0], wide[2], narrow[0]])
+    y = _sum([wide[1], wide[2], narrow[0]])
+    assert not _same_homs(x, y)
+    assert (x.total_dim + 1) ** hom_dim(x, y) > _GRID_LIMIT
+    grid = {"seed": 0, "trials": 20, "exhaustive": True}
+    assert is_isomorphic(x, y, **grid) is False
+    assert reference_is_isomorphic(x, y)(**grid) is False
+    with pytest.raises(ValueError, match="over the limit"):
+        is_isomorphic(x, x, **grid)
+    with pytest.raises(ValueError, match="over the limit"):
+        reference_is_isomorphic(x, x)(**grid)
