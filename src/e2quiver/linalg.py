@@ -10,9 +10,11 @@ pivot row to give the reduced row echelon form over the rationals, from
 which kernels and solutions are read (pivot-normalized kernel bases,
 solutions with free variables zero).  Rank and pivot columns read the
 pivots off the forward elimination alone: no back-substitution and no
-division.  The sparse entry points take rows of Fractions, of Python ints
-or of both: callers that have already scaled a homogeneous system to
-integers (``scale_to_ints``) hand it over as it is.
+division.  The incremental ``Echelon``, which tests one vector at a time
+for membership in a growing span, reduces with the same primitive rows and
+the same row step.  The sparse entry points take rows of Fractions, of
+Python ints or of both: callers that have already scaled a homogeneous
+system to integers (``scale_to_ints``) hand it over as it is.
 
 Floats are rejected on input so a rounding error can never sneak in.
 """
@@ -394,6 +396,40 @@ def _particular(reduced: list[SparseRow], pivots: list[int], ncols: int, nrhs: i
             if c >= ncols:
                 x[p][c - ncols] = v
     return x
+
+
+class Echelon:
+    """A row echelon form grown one row at a time: the membership test of
+    spinning (MeatAxe-style closure under a set of maps).
+
+    Each kept row is primitive with a positive leading entry and is stored
+    under its leading column.  A new row is reduced by the kept row at its
+    current leading column until it vanishes (it lies in the span) or leads
+    at a column no kept row leads at (it is kept).  Clearing its leading
+    entry leaves only later columns, so each kept row is used at most once.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self) -> None:
+        self._rows: dict[int, _IntRow] = {}
+
+    def add(self, row: SparseRow) -> bool:
+        """Keep row if it is independent of the rows kept so far; whether it
+        was kept.  The row holds nonzero entries only."""
+        if not row:
+            return False
+        row = _primitive(row)
+        while row:
+            col = min(row)
+            piv = self._rows.get(col)
+            if piv is None:
+                if row[col] < 0:
+                    row = {c: -v for c, v in row.items()}
+                self._rows[col] = row
+                return True
+            row = _eliminate(row, col, piv, piv[col])
+        return False
 
 
 def sparse_rank(rows: list[SparseRow], ncols: int) -> int:

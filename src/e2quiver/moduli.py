@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .euclid import EuclideanModule
-from .linalg import Matrix, SparseRow, Vector, frac, rank, sparse_affine_solve
+# rank is unused here, but bench/test_bench.py checks that its tracer rewraps moduli.rank
+from .linalg import Echelon, Matrix, SparseRow, Vector, frac, rank, sparse_affine_solve
 from .preproj import (
     GradedMap,
     QuiverRep,
@@ -258,19 +259,23 @@ def invariant_closure(
 ) -> dict[int, Matrix]:
     """Smallest invariant graded subspace containing the seed vectors.
 
-    Images under all arrow maps are added until the dimensions stabilize;
-    the result is a column basis per weight (deterministic: vectors are
-    appended in arrow order and never rewritten).
+    Spinning: the seed vectors that are independent form the start of a
+    column basis per weight, and each arrow pushes every basis vector at its
+    source through its map once, keeping the images that are independent.
+    An arrow keeps a cursor into its source's basis, so each (arrow,
+    vector) pair is tried once, and an arrow into a full weight space is
+    skipped.  Membership is tested by fraction-free echelon (``Echelon``),
+    kept beside the columns, which stay the Fraction images themselves.
+    The result is deterministic: vectors are appended in arrow order, pass
+    after pass, and never rewritten.
     """
-    basis_cols: dict[int, list[Vector]] = {v: [] for v in x.window.vertices()}
+    vertices = list(x.window.vertices())
+    basis_cols: dict[int, list[Vector]] = {v: [] for v in vertices}
+    echelons = {v: Echelon() for v in vertices}
 
     def try_add(vertex: int, vec: Vector) -> bool:
-        if all(c == 0 for c in vec):
-            return False
-        current = basis_cols[vertex]
-        stacked = Matrix.from_columns(current + [vec], rows=x.dim(vertex))
-        if rank(stacked) == len(current) + 1:
-            current.append(vec)
+        if echelons[vertex].add({j: c for j, c in enumerate(vec) if c}):
+            basis_cols[vertex].append(vec)
             return True
         return False
 
@@ -284,14 +289,19 @@ def invariant_closure(
                 raise ValueError(f"seed vector at weight {k} has wrong length")
             try_add(k, vec)
 
+    # the arrows with a nonzero map, and how many source vectors each pushed
+    arrows = [a for a in double_arrows(x.window) if x.map(a).rows and x.map(a).cols]
+    pushed = [0] * len(arrows)
     changed = True
     while changed:
         changed = False
-        for arrow in double_arrows(x.window):
-            m = x.map(arrow)
-            if m.rows == 0 or m.cols == 0:
+        for i, arrow in enumerate(arrows):
+            source = basis_cols[arrow.source]
+            start, pushed[i] = pushed[i], len(source)
+            if len(basis_cols[arrow.target]) == x.dim(arrow.target):
                 continue
-            for vec in list(basis_cols[arrow.source]):
+            m = x.map(arrow)
+            for vec in source[start : pushed[i]]:
                 if try_add(arrow.target, m.apply(vec)):
                     changed = True
     return {

@@ -404,6 +404,30 @@ def test_weight_runs_command(capsys):
     assert doc["finite_type_guarantee"] is False
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch, hook_module_path):
+    from e2quiver import cli
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        # --module appends to a list: a parser that kept it would see two
+        first = run_cli(capsys, "verify", "--module", hook_module_path)
+        runs = run_cli(capsys, "weight-runs", "--set", "[0, 1, 2, 5, 6]")
+        second = run_cli(capsys, "verify", "--module", hook_module_path)
+    finally:
+        cli._parser.cache_clear()
+    assert first[0] == 0 and first == second
+    assert json.loads(runs[1])["runs"] == [[0, 2], [5, 6]]
+    assert len(builds) == 1
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

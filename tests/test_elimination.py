@@ -190,6 +190,21 @@ def test_every_entry_point_matches_reference(system):
         assert got == Matrix.from_columns(expected, rows=ncols)
 
 
+@EXAMPLES
+@given(systems())
+def test_echelon_keeps_exactly_the_rows_that_raise_the_rank(system):
+    rows, ncols = system
+    echelon = linalg.Echelon()
+    kept = 0
+    for k, row in enumerate(rows):
+        raises = len(oracle_rref(rows[: k + 1], ncols)[1]) > kept
+        assert echelon.add(row) == raises
+        kept += raises
+    assert kept == len(oracle_rref(rows, ncols)[1])
+    # a row already in the span, added again, is refused
+    assert not any(echelon.add(row) for row in rows)
+
+
 def test_inverse_rejects_non_square():
     with pytest.raises(ValueError):
         inverse(Matrix.zero(2, 3))
