@@ -191,6 +191,17 @@ class FramedPoint:
         violated = check_relations(rep)
         if violated:
             raise ValueError(f"relations violated at vertices {violated}")
+        self._frame(rep, framing_dims, framing)
+
+    @classmethod
+    def _of_valid(cls, rep: QuiverRep, framing_dims: DimensionVector, framing: Mapping[int, Matrix]) -> "FramedPoint":
+        """A framed point on a representation already known to satisfy the
+        relations, which are not checked again."""
+        point = cls.__new__(cls)
+        point._frame(rep, framing_dims, framing)
+        return point
+
+    def _frame(self, rep: QuiverRep, framing_dims: DimensionVector, framing: Mapping[int, Matrix] | None) -> None:
         self.rep = rep
         self.framing_dims = framing_dims
         given = dict(framing) if framing else {}
@@ -251,7 +262,8 @@ def framed_point(gs: GeneratorSet) -> FramedPoint:
     framing = {
         k: Matrix.from_columns(cols, rows=gs.module.dims[k]) for k, cols in columns.items()
     }
-    return FramedPoint(rep, framing_dims, framing)
+    # to_quiver has checked the relations
+    return FramedPoint._of_valid(rep, framing_dims, framing)
 
 
 def invariant_closure(

@@ -31,9 +31,12 @@ space is a point or a line and Monte Carlo (seeded, one-sided error)
 otherwise, with an exhaustive grid mode for small instances.  Its candidates
 are integer combinations of the spanning maps, each scaled once by the lcm
 of all their denominators, and each integer block is tested by fraction-free
-(Bareiss) elimination.  The isomorphism test looks for a witness first: a
-few draws of its seeded search run before the Hom dimensions it compares,
-which are ranks of the intertwiner system (hom_dim), with no basis.
+(Bareiss) elimination.  The isomorphism test first compares the ranks of
+the arrow maps, a base-change invariant whose mismatch is a certain False
+with no Hom elimination; it separates sums of thin indecomposables that
+differ in a summand.  Then it looks for a witness: a few draws of its
+seeded search run before the Hom dimensions it compares, which are ranks of
+the intertwiner system (hom_dim), with no basis.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .linalg import (
     frac,
     inverse,
     kernel_basis,
-    rank,  # not called here; bench/test_bench.py reads the binding preproj.rank
+    rank,
     scale_to_ints,
     sparse_kernel,
     sparse_rank,
@@ -790,25 +793,34 @@ def is_isomorphic(
 ) -> bool:
     """Whether x and y lie in the same base-change orbit.
 
-    False when the dimension vectors differ.  Only Hom(x, y) is solved for a
-    basis, which the search for an invertible element needs (see
-    _find_invertible): deterministic when dim Hom <= 1, on a grid with
-    `exhaustive`, and otherwise by `trials` seeded Monte Carlo draws
-    (one-sided error: True is always a witness).
+    The steps, in order:
+    1. the dimension vectors: False when they differ;
+    2. the arrow ranks (_arrow_ranks): False when they differ, in every
+       mode, before any Hom elimination;
+    3. a basis of Hom(x, y), the one Hom space solved for a basis, which
+       the search for an invertible element needs (see _find_invertible):
+       deterministic when dim Hom <= 1, on a grid with `exhaustive`, and
+       otherwise by `trials` seeded Monte Carlo draws (one-sided error:
+       True is always a witness);
+    4. unless `exhaustive`, the first _WITNESS_DRAWS draws (or the single
+       candidate when dim Hom = 1): an invertible one is the answer;
+    5. the rank fast paths: False unless dim Hom(y, x), dim End(x) and
+       dim End(y), read as ranks (hom_dim), agree as an isomorphism
+       requires;
+    6. the rest of the same draws.
 
-    Witness first: unless `exhaustive`, the first _WITNESS_DRAWS draws (or
-    the single candidate when dim Hom = 1) run right after the basis, and an
-    invertible one is the answer.  Only when they fail come the fast paths,
-    False unless dim Hom(y, x), dim End(x) and dim End(y), read as ranks
-    (hom_dim), agree as an isomorphism requires, and then the rest of the
-    same draws.  The verdicts are those of the fast paths followed by the
-    whole search: a witness proves x and y isomorphic, so the fast paths
+    A False from step 1, 2 or 5, or from dim Hom(x, y) = 0, is certain; a
+    later one is a failed search, certain only on a grid or when
+    dim Hom(x, y) = 1.  The verdicts are those of steps 1, 2 and 5 followed
+    by the whole search: a witness proves x and y isomorphic, so step 5
     would have passed and the search would have stopped at that draw.
     """
     if x.dims != y.dims:
         return False
     if x.total_dim == 0:
         return True
+    if _arrow_ranks(x) != _arrow_ranks(y):
+        return False
     forward = hom_basis(x, y)
     if forward.dim == 0:
         return False
@@ -820,6 +832,13 @@ def is_isomorphic(
     if hom_dim(x, x) != hom_dim(y, y):
         return False
     return any(attempts)
+
+
+def _arrow_ranks(x: QuiverRep) -> dict[str, int]:
+    """The nonzero ranks of the arrow maps, by arrow name: a base change
+    keeps rank(g_t x_a g_s^-1) = rank(x_a), so isomorphic representations
+    agree on it whatever their windows."""
+    return {name: r for name, m in x.maps.items() if (r := rank(m))}
 
 
 # Draws that is_isomorphic makes before it computes the three Hom ranks.  On

@@ -14,7 +14,12 @@ in integers.
 ``_gm_invertible`` is also the oracle for ``_invertible``, the fraction-free
 (Bareiss) test of the integer candidate blocks, and ``reference_is_isomorphic``
 keeps the order ``is_isomorphic`` had before it drew a few witnesses ahead of
-the Hom-dimension fast paths.
+the Hom-dimension fast paths, and before it compared arrow ranks first.
+
+The arrow-rank fingerprint (``_arrow_ranks``) is checked last: it is a
+base-change invariant, it settles the benchmark's negatives with no Hom
+elimination, and pairs whose arrow ranks agree still reach the search with
+the reference verdicts.
 """
 
 import itertools
@@ -23,6 +28,7 @@ from fractions import Fraction
 
 import pytest
 
+from e2quiver import preproj
 from e2quiver.euclid import to_quiver
 from e2quiver.linalg import Matrix, rank
 from e2quiver.moduli import (
@@ -38,6 +44,7 @@ from e2quiver.preproj import (
     _GRID_LIMIT,
     _WITNESS_DRAWS,
     GradedMap,
+    _arrow_ranks,
     _attempts,
     _combination,
     _find_invertible,
@@ -430,3 +437,118 @@ def test_exhaustive_fast_paths_still_come_before_the_grid_check():
         is_isomorphic(x, x, **grid)
     with pytest.raises(ValueError, match="over the limit"):
         reference_is_isomorphic(x, x)(**grid)
+
+
+# --- the arrow-rank fingerprint --------------------------------------------
+
+
+def _count_hom_calls(monkeypatch):
+    """Counts of the Hom eliminations is_isomorphic makes from here on."""
+    calls = {"hom_basis": 0, "hom_dim": 0}
+    for name in calls:
+        original = getattr(preproj, name)
+
+        def counted(x, y, name=name, original=original):
+            calls[name] += 1
+            return original(x, y)
+
+        monkeypatch.setattr(preproj, name, counted)
+    return calls
+
+
+def test_arrow_ranks_are_a_base_change_invariant(thin16, young_corpus):
+    rng = random.Random(31)
+    wide = enumerate_thin_indecomposables(Window(0, 2))
+    narrow = enumerate_thin_indecomposables(Window(0, 1)) + enumerate_thin_indecomposables(Window(1, 2))
+    modules = thin16 + [to_quiver(gs.module) for _, gs in young_corpus]
+    modules += [_sum([wide[i], narrow[j]]) for i, j in ((0, 0), (2, 1), (3, 2))]
+    modules += [x for pair in hom_corpus() for x in pair]
+    for x in modules:
+        ranks = _arrow_ranks(x)
+        assert ranks == _arrow_ranks(apply_gv(x, random_gv(x, rng)))
+        assert all(ranks.values())
+        # zero-shape arrows outside the support add nothing
+        assert _arrow_ranks(x.embed(Window(x.window.a - 1, x.window.b + 2))) == ranks
+
+
+def benchmark_negatives(rng, count):
+    """(kind, x, y) made as the benchmark's orbit_tests negatives are: hidden
+    sums of thin indecomposables on the windows [0, 4] and [-2, 1] that
+    differ in one summand of [0, 4], count of each kind; neg_eq when every
+    Hom dimension that is_isomorphic compares agrees, neg otherwise."""
+    pools = enumerate_thin_indecomposables(Window(0, 4)), enumerate_thin_indecomposables(Window(-2, 1))
+    members = [pool[i] for pool in pools for i in range(len(pool))]
+    wanted = {"neg": count, "neg_eq": count}
+    pairs = []
+    while any(wanted.values()):
+        a, b = rng.sample(range(len(pools[0])), 2)
+        others = [i for i in range(len(members)) if i not in (a, b)]
+        rest = [members[i] for i in rng.sample(others, rng.randint(1, 3))]
+        left, right = _sum([members[a]] + rest), _sum([members[b]] + rest)
+        kind = "neg_eq" if _same_homs(left, right) else "neg"
+        if wanted[kind]:
+            wanted[kind] -= 1
+            pairs.append((kind, _hide(left, rng), _hide(right, rng)))
+    return pairs
+
+
+def test_arrow_ranks_make_benchmark_negatives_certain(monkeypatch):
+    pairs = benchmark_negatives(random.Random(17), 4)
+    # the grid check used to raise on equal-Hom negatives like these
+    over = [(x, y) for kind, x, y in pairs if kind == "neg_eq" and (x.total_dim + 1) ** hom_dim(x, y) > _GRID_LIMIT]
+    assert over
+    with pytest.raises(ValueError, match="over the limit"):
+        reference_is_isomorphic(*over[0])(seed=0, trials=20, exhaustive=True)
+    calls = _count_hom_calls(monkeypatch)
+    for kind, x, y in pairs:
+        assert _arrow_ranks(x) != _arrow_ranks(y), kind
+        assert is_isomorphic(x, y, trials=0) is False
+        for seed in SEEDS:
+            assert is_isomorphic(x, y, seed=seed, trials=20) is False
+        # decided before the grid, whatever its size
+        assert is_isomorphic(x, y, exhaustive=True) is False
+    assert calls == {"hom_basis": 0, "hom_dim": 0}
+
+
+def equal_rank_negatives():
+    """(same_homs, x, y): hidden sums of two thin indecomposables on
+    sub-windows of [0, 3], not isomorphic (Krull-Schmidt: the summands
+    differ), whose arrow ranks agree, found by adding up the summands' own
+    arrow ranks; three pairs with equal compared Hom dimensions and three
+    without, each with a grid small enough to walk."""
+    rng = random.Random(29)
+    pool = [m for a in range(4) for b in range(a, 4) for m in enumerate_thin_indecomposables(Window(a, b))]
+    sums = {}
+    for i, j in itertools.combinations_with_replacement(range(len(pool)), 2):
+        ranks = dict(_arrow_ranks(pool[i]))
+        for name, r in _arrow_ranks(pool[j]).items():
+            ranks[name] = ranks.get(name, 0) + r
+        key = (tuple(sorted((pool[i].dims + pool[j].dims).items())), tuple(sorted(ranks.items())))
+        sums.setdefault(key, []).append((i, j))
+    wanted = {True: 3, False: 3}
+    pairs = []
+    for key in sorted(sums):
+        for first, second in itertools.combinations(sums[key], 2):
+            x, y = _sum([pool[k] for k in first]), _sum([pool[k] for k in second])
+            same = _same_homs(x, y)
+            if wanted[same] and (x.total_dim + 1) ** hom_dim(x, y) <= SMALL_GRID:
+                wanted[same] -= 1
+                pairs.append((same, _hide(x, rng), _hide(y, rng)))
+    assert not any(wanted.values())
+    return pairs
+
+
+def test_equal_arrow_ranks_still_reach_the_search(monkeypatch):
+    pairs = equal_rank_negatives()
+    calls = _count_hom_calls(monkeypatch)
+    for same, x, y in pairs:
+        assert _arrow_ranks(x) == _arrow_ranks(y)
+        reference = reference_is_isomorphic(x, y)
+        before = calls["hom_basis"]
+        for seed in SEEDS:
+            for trials in (0, 1, 3, 20):
+                mode = {"seed": seed, "trials": trials, "exhaustive": False}
+                assert is_isomorphic(x, y, **mode) is reference(**mode) is False, (same, mode)
+        mode = {"seed": 0, "trials": 20, "exhaustive": True}
+        assert is_isomorphic(x, y, **mode) is reference(**mode) is False, same
+        assert calls["hom_basis"] == before + 4 * 4 + 1

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from e2quiver.euclid import to_quiver
+from e2quiver import euclid, moduli
+from e2quiver.euclid import EuclideanModule, to_quiver
 from e2quiver.linalg import Matrix
 from e2quiver.moduli import (
     FramedPoint,
+    GeneratorSet,
     Partition,
     apply_gv_framed,
     enumerate_thin_decomposables,
@@ -159,6 +161,37 @@ def test_framed_point_requires_nilpotent_relations():
     )
     with pytest.raises(ValueError):
         FramedPoint(bad, DimensionVector())
+
+
+def test_framed_point_checks_the_relations_once(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return check_relations(x)
+
+    for module in (euclid, moduli):
+        monkeypatch.setattr(module, "check_relations", counted)
+    point = framed_point(young_module(Partition.of(4, 3, 2, 1), 0))
+    assert len(calls) == 1
+    # the constructor still checks, with its message
+    assert FramedPoint(point.rep, point.framing_dims, point.framing) == point
+    assert len(calls) == 2
+    bad = QuiverRep(
+        Window(0, 1),
+        DimensionVector({0: 1, 1: 1}),
+        {"h0": Matrix.from_rows([[1]]), "hbar0": Matrix.from_rows([[1]])},
+    )
+    with pytest.raises(ValueError, match="relations violated"):
+        FramedPoint(bad, DimensionVector())
+    # and framed_point rejects an invalid module through to_quiver
+    module = EuclideanModule(
+        DimensionVector({0: 1, 1: 1}),
+        {0: Matrix.from_rows([[1]])},
+        {1: Matrix.from_rows([[1]])},
+    )
+    with pytest.raises(ValueError, match="invalid module: "):
+        framed_point(GeneratorSet(module, [(0, (Fraction(1),))]))
 
 
 def test_stability_is_orbit_invariant(young_corpus):
