@@ -27,11 +27,11 @@ from typing import Iterator, Mapping, Sequence
 
 from .euclid import EuclideanModule
 # rank is unused here, but bench/test_bench.py checks that its tracer rewraps moduli.rank
-from .linalg import Echelon, Matrix, SparseRow, Vector, frac, rank, sparse_affine_solve
+from .linalg import Echelon, Matrix, SparseRow, Vector, _augment, _forward, frac, rank, sparse_affine_solve
 from .preproj import (
     GradedMap,
     QuiverRep,
-    _find_invertible,
+    _attempts,
     _HomLayout,
     apply_gv,
     check_relations,
@@ -332,6 +332,24 @@ def is_stable(p: FramedPoint) -> bool:
     return all(closure[v].cols == p.rep.dim(v) for v in p.rep.window.vertices())
 
 
+def _framed_system(p: FramedPoint, q: FramedPoint) -> tuple[_HomLayout, list[SparseRow], list[Fraction]]:
+    """The combined linear system g x = x' g, g s = s' on the coordinates of
+    _HomLayout(p.rep, q.rep): its layout, rows and right-hand side."""
+    if p.framing_dims != q.framing_dims:
+        raise ValueError("framing dimension vectors differ")
+    layout = _HomLayout(p.rep, q.rep)
+    rows = layout.intertwiner_rows()
+    rhs = [_ZERO] * len(rows)
+    for k in layout.window.vertices():
+        s, s2 = p.framing_map(k), q.framing_map(k)
+        for r, c in itertools.product(range(layout.y.dim(k)), range(p.framing_dims[k])):
+            row: SparseRow = {layout.index(k, r, j): s[j, c] for j in range(layout.x.dim(k)) if s[j, c]}
+            if row or s2[r, c]:
+                rows.append(row)
+                rhs.append(s2[r, c])
+    return layout, rows, rhs
+
+
 def framed_equivalence_space(
     p: FramedPoint, q: FramedPoint
 ) -> tuple[GradedMap | None, list[GradedMap]]:
@@ -341,25 +359,7 @@ def framed_equivalence_space(
     the homogeneous system g x = x' g, g s = 0).  The particular solution is
     None when the system is inconsistent.
     """
-    if p.framing_dims != q.framing_dims:
-        raise ValueError("framing dimension vectors differ")
-    layout = _HomLayout(p.rep, q.rep)
-    rows = layout.intertwiner_rows()
-    rhs = [_ZERO] * len(rows)
-    for k in layout.window.vertices():
-        s = p.framing_map(k)
-        s2 = q.framing_map(k)
-        w = p.framing_dims[k]
-        for r in range(layout.y.dim(k)):
-            for c in range(w):
-                row: SparseRow = {}
-                for j in range(layout.x.dim(k)):
-                    v = s[j, c]
-                    if v != 0:
-                        row[layout.index(k, r, j)] = v
-                if row or s2[r, c] != 0:
-                    rows.append(row)
-                    rhs.append(s2[r, c])
+    layout, rows, rhs = _framed_system(p, q)
     particular, kernel = sparse_affine_solve(rows, rhs, layout.size)
     particular_map = layout.unvec(particular) if particular is not None else None
     return particular_map, [layout.unvec(v) for v in kernel]
@@ -384,10 +384,11 @@ def framed_equivalent(
         return False
     if p.rep.total_dim == 0:
         return True
-    particular, kernel = framed_equivalence_space(p, q)
-    if particular is None:
+    layout, rows, rhs = _framed_system(p, q)
+    echelon, pivots = _forward(_augment(rows, layout.size, ((v,) for v in rhs)), layout.size + 1)
+    if pivots and pivots[-1] == layout.size:  # a pivot in the right-hand side: inconsistent
         return False
-    return _find_invertible(kernel, particular, seed=seed, trials=trials, exhaustive=exhaustive)
+    return any(_attempts(layout, echelon, pivots, affine=True, seed=seed, trials=trials, exhaustive=exhaustive))
 
 
 def apply_gv_framed(p: FramedPoint, g: GradedMap) -> FramedPoint:
@@ -398,7 +399,8 @@ def apply_gv_framed(p: FramedPoint, g: GradedMap) -> FramedPoint:
         s = p.framing_map(k)
         if s.rows > 0 and s.cols > 0:
             framing[k] = g[k] * s
-    return FramedPoint(rep, p.framing_dims, framing)
+    # a base change conjugates each relation value, so none can fail
+    return FramedPoint._of_valid(rep, p.framing_dims, framing)
 
 
 def nakajima_dim(v: DimensionVector, w: DimensionVector) -> int:

@@ -26,17 +26,17 @@ components.  One inverse per weight space gives the coordinates along every
 component, for both the projection and the restriction.
 
 Isomorphism testing and framed equivalence share one search for an
-invertible element of an affine space of graded maps: deterministic when the
-space is a point or a line and Monte Carlo (seeded, one-sided error)
-otherwise, with an exhaustive grid mode for small instances.  Its candidates
-are integer combinations of the spanning maps, each scaled once by the lcm
-of all their denominators, and each integer block is tested by fraction-free
-(Bareiss) elimination.  The isomorphism test first compares the ranks of
-the arrow maps, a base-change invariant whose mismatch is a certain False
-with no Hom elimination; it separates sums of thin indecomposables that
-differ in a summand.  Then it looks for a witness: a few draws of its
-seeded search run before the Hom dimensions it compares, which are ranks of
-the intertwiner system (hom_dim), with no basis.
+invertible element of the solutions of a linear system of graded maps:
+deterministic when they form a point or a line and Monte Carlo (seeded,
+one-sided error) otherwise, with an exhaustive grid mode for small
+instances.  No spanning maps are built: the search keeps the forward
+integer echelon form of the system, makes each candidate by one
+fraction-free back-substitution, and tests its integer blocks by Bareiss
+elimination.  The isomorphism test first compares the ranks of the arrow
+maps, a base-change invariant whose mismatch is a certain False with no
+Hom elimination; it separates sums of thin indecomposables that differ in
+a summand.  Then it looks for a witness: a few draws run before the Hom
+dimensions it compares, ranks of the intertwiner system (hom_dim).
 """
 
 from __future__ import annotations
@@ -46,14 +46,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
     Matrix,
     SparseRow,
     Vector,
+    _forward,
+    _IntRow,
     block_diag,
     frac,
     inverse,
@@ -651,7 +653,7 @@ def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[Component] | None
     vertices = [v for v, m in end.basis[0].items() if m.rows]
     empty = {v: Matrix.zero(0, 0) for v in x.window.vertices()}
     for phi in _candidates(end):
-        blocks = [[flat[r * k : (r + 1) * k] for r in range(k)] for k, (flat,) in _scaled_blocks([phi])]
+        blocks = _scaled_blocks(phi)
         minpoly = reduce(_poly_lcm, {tuple(_minimal_polynomial(block)) for block in blocks})
         factors = _coprime_factors(minpoly)
         if len(factors) < 2:
@@ -797,11 +799,11 @@ def is_isomorphic(
     1. the dimension vectors: False when they differ;
     2. the arrow ranks (_arrow_ranks): False when they differ, in every
        mode, before any Hom elimination;
-    3. a basis of Hom(x, y), the one Hom space solved for a basis, which
-       the search for an invertible element needs (see _find_invertible):
-       deterministic when dim Hom <= 1, on a grid with `exhaustive`, and
-       otherwise by `trials` seeded Monte Carlo draws (one-sided error:
-       True is always a witness);
+    3. the forward integer echelon form of the Hom(x, y) intertwiner
+       system, from which the search for an invertible element (_attempts)
+       back-substitutes each candidate, with no basis: deterministic when
+       dim Hom <= 1, on a grid with `exhaustive`, and otherwise `trials`
+       seeded Monte Carlo draws (one-sided error: True is a witness);
     4. unless `exhaustive`, the first _WITNESS_DRAWS draws (or the single
        candidate when dim Hom = 1): an invertible one is the answer;
     5. the rank fast paths: False unless dim Hom(y, x), dim End(x) and
@@ -821,15 +823,15 @@ def is_isomorphic(
         return True
     if _arrow_ranks(x) != _arrow_ranks(y):
         return False
-    forward = hom_basis(x, y)
-    if forward.dim == 0:
+    layout = _HomLayout(x, y)
+    echelon, pivots = _forward(layout.intertwiner_rows(), layout.size)
+    dim = layout.size - len(pivots)
+    if dim == 0:
         return False
-    attempts = _attempts(forward.basis, seed=seed, trials=trials, exhaustive=exhaustive)
+    attempts = _attempts(layout, echelon, pivots, seed=seed, trials=trials, exhaustive=exhaustive)
     if not exhaustive and any(itertools.islice(attempts, _WITNESS_DRAWS)):
         return True
-    if forward.dim != hom_dim(y, x):
-        return False
-    if hom_dim(x, x) != hom_dim(y, y):
+    if dim != hom_dim(y, x) or hom_dim(x, x) != hom_dim(y, y):
         return False
     return any(attempts)
 
@@ -848,103 +850,99 @@ def _arrow_ranks(x: QuiverRep) -> dict[str, int]:
 _WITNESS_DRAWS = 3
 
 # The exhaustive search refuses grids of more than this many points.  On a
-# 2-vCPU Xeon host it checks 5,000-8,000 points a second on maps of total
-# dimension 6, so a full walk takes seconds, not hours.
+# 2-vCPU Xeon host it walks 30,000-80,000 points a second on maps of total
+# dimension 4-6, one back-substitution each: a full walk is under a second.
 _GRID_LIMIT = 10_000
 
 
-def _find_invertible(
-    kernel: list[GradedMap],
-    particular: GradedMap | None = None,
-    *,
-    seed: int,
-    trials: int,
-    exhaustive: bool,
-) -> bool:
-    """Whether particular + span(kernel), or span(kernel) when particular is
-    None, contains an invertible graded map.
-
-    Deterministic when the space is one point or one line.  Otherwise every
-    candidate is particular + sum c_i kernel_i, with coefficient vectors c
-    from the grid {0, ..., d}^n for `exhaustive` (d the total dimension of
-    the maps, n = len(kernel); the determinant is a polynomial of degree at
-    most d in each c_i, so it vanishes on the whole grid only if it vanishes
-    everywhere) or else from `trials` seeded draws with ranges [-2^t, 2^t]
-    for t = 1, 2, ... (one-sided error: True is always a witness).  A grid of
-    more than _GRID_LIMIT points raises ValueError.
-    """
-    return any(_attempts(kernel, particular, seed=seed, trials=trials, exhaustive=exhaustive))
-
-
 def _attempts(
-    kernel: list[GradedMap],
-    particular: GradedMap | None = None,
+    layout: _HomLayout,
+    echelon: list[_IntRow],
+    pivots: list[int],
     *,
+    affine: bool = False,
     seed: int,
     trials: int,
     exhaustive: bool,
 ) -> Iterator[bool]:
-    """Whether each candidate of _find_invertible's search is invertible, in
-    search order and made on demand: one verdict per grid point or draw (an
-    all-zero one is False), one for a single point or line, none when the
-    maps are not square.
+    """The search for an invertible map among the solutions of a system of
+    graded maps between equal dimension vectors, in forward integer echelon
+    form on layout's coordinates (a consistent affine one has its right-hand
+    side as column layout.size): whether each candidate is invertible.
 
-    Candidates are integer combinations: the maps are scaled once by D, the
-    lcm of the denominators of all their entries, and D times a candidate is
-    invertible exactly when the candidate is.  Each vertex block is read
-    transposed, one column of coefficients per entry, so an entry of a
-    candidate is one dot product with the coefficient vector.
+    A candidate is the solution with free coordinates c (pivot-normalized:
+    the particular solution plus sum c_i kernel_i), tested as D v for an
+    integer D != 0.  c = (1, ..., 1) when the space is a point or a line;
+    else c runs through the grid {0, ..., d}^n for `exhaustive` (d the total
+    dimension, n = len(c): the determinant has degree at most d in each c_i,
+    so it vanishes on the grid only if it vanishes everywhere) or through
+    `trials` seeded draws in [-2^t, 2^t], t = 1, 2, ... (one-sided: True is a
+    witness).  An all-zero c of a homogeneous system is False; a grid of
+    more than _GRID_LIMIT points raises ValueError.
     """
-    basis, fixed = (kernel, []) if particular is None else ([particular] + kernel, [1])
-    if any(m.rows != m.cols for m in basis[0].values()):
-        return
-    blocks = [(k, list(zip(*maps))) for k, maps in _scaled_blocks(basis)]
-    if len(basis) == 1:
-        yield _invertible(blocks, [1])
-        return
-    n = len(kernel)
-    if exhaustive:
-        d = sum(m.rows for m in basis[0].values())
+    blocks = [(layout.offsets[v], k) for v in layout.window.vertices() if (k := layout.x.dim(v))]
+    for _, w in _solutions(layout, echelon, pivots, affine, seed, trials, exhaustive):
+        yield w is not None and _invertible([w[o + r * k : o + r * k + k] for r in range(k)] for o, k in blocks)
+
+
+def _solutions(
+    layout: _HomLayout, echelon: list[_IntRow], pivots: list[int], affine: bool, seed: int, trials: int, exhaustive: bool
+) -> Iterator[tuple[Sequence[int], list[int] | None]]:
+    """Each candidate's free coordinates c, with D v (_back_substitute) for
+    the solution v they fix, or None for an all-zero c of a homogeneous
+    system.  The right-hand side column is held at -1: [A | b] (v, -1) = 0."""
+    free = sorted(set(range(layout.size)).difference(pivots))
+    n, d = len(free), layout.x.total_dim
+    if n + affine == 1:
+        points = [[1] * n]
+    elif exhaustive:
         if (d + 1) ** n > _GRID_LIMIT:
             raise ValueError(f"exhaustive grid of {d + 1}^{n} points is over the limit of {_GRID_LIMIT}")
         points = itertools.product(range(d + 1), repeat=n)
     else:
         rng = random.Random(seed)
         points = ([rng.randint(-(2**t), 2**t) for _ in range(n)] for t in range(1, trials + 1))
-    for coeffs in points:
-        coeffs = fixed + list(coeffs)
-        yield any(coeffs) and _invertible(blocks, coeffs)
+    start = [0] * layout.size + [-1] * affine
+    for c in points:
+        w = start.copy()
+        for col, a in zip(free, c):
+            w[col] = a
+        yield c, (_back_substitute(echelon, pivots, w) if affine or any(c) else None)
 
 
-def _scaled_blocks(basis: list[GradedMap]) -> list[tuple[int, list[list[int]]]]:
-    """For each nonempty vertex block of the square maps in basis, in vertex
-    order: its size k and, for every map b, the k * k entries of D b as one
-    row-major integer list, with D the lcm of all the denominators."""
-    vertices = [v for v, m in basis[0].items() if m.rows]
-    scaled = [scale_to_ints([a for v in vertices for a in g[v].entries()]) for g in basis]
-    den = lcm(*(d for _, d in scaled))
-    flat = [ints if d == den else [a * (den // d) for a in ints] for ints, d in scaled]
-    blocks = []
-    pos = 0
-    for v in vertices:
-        k = basis[0][v].rows
-        blocks.append((k, [f[pos : pos + k * k] for f in flat]))
-        pos += k * k
-    return blocks
+def _back_substitute(echelon: list[_IntRow], pivots: list[int], w: list[int]) -> list[int]:
+    """D v for some integer D > 0, v the solution of the echelon system
+    that agrees with w off the pivot columns (w is 0 there, and is reused).
+    Fraction-free, last pivot first: a row with pivot p at column c gives
+    p w_c = -s, s its dot product with w (w_c still 0, no entries left of
+    c); when p does not divide s, w is first scaled by p / gcd(s, p)."""
+    for row, col in zip(reversed(echelon), reversed(pivots)):
+        s = -sum(map(mul, row.values(), map(w.__getitem__, row)))
+        p = row[col]
+        if s % p:
+            m = p // gcd(s, p)
+            w = [a * m for a in w]
+            s *= m
+        w[col] = s // p
+    return w
 
 
-def _invertible(blocks: list[tuple[int, list[tuple[int, ...]]]], coeffs: Sequence[int]) -> bool:
-    """Whether sum c_i b_i is nonsingular at every vertex.  A block is given
-    by its size k and its k * k row-major entries, each as the column of that
-    entry's values in the b_i.  The blocks are tested in vertex order up to
-    the first singular one, each by fraction-free elimination (Bareiss,
-    Math. Comp. 22, 1968): after step i every entry is a minor of order
-    i + 1 of the block with its rows reordered, so the division by the
-    previous pivot is exact, and the block is singular exactly when a step
-    finds no nonzero entry left in its column."""
-    for k, columns in blocks:
-        entries = [sum(map(mul, coeffs, col)) for col in columns]
-        rows = [entries[r * k : (r + 1) * k] for r in range(k)]
+def _scaled_blocks(g: GradedMap) -> list[list[list[int]]]:
+    """The nonempty blocks of D g, a square graded map, in vertex order as
+    integer rows, with D the lcm of the denominators of all of g's entries."""
+    sizes = [m.rows for m in g.values() if m.rows]
+    entries = iter(scale_to_ints(a for m in g.values() for a in m.entries())[0])
+    return [[list(itertools.islice(entries, k)) for _ in range(k)] for k in sizes]
+
+
+def _invertible(blocks: Iterable[list[list[int]]]) -> bool:
+    """Whether every square integer block, a list of its rows (reused), is
+    nonsingular, tested in order up to the first singular one by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968): after step i
+    every entry is a minor of order i + 1 of the block with its rows
+    reordered, so the division by the previous pivot is exact, and the block
+    is singular exactly when a step finds no nonzero entry in its column."""
+    for rows in blocks:
         previous = 1
         while rows:
             i = next((i for i, row in enumerate(rows) if row[0]), None)

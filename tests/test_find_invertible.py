@@ -3,18 +3,26 @@
 ``is_isomorphic`` and ``framed_equivalent`` once ran separate searches: an
 odometer grid and a Monte Carlo loop over a Hom basis, and an
 ``itertools.product`` grid and a second Monte Carlo loop over an affine
-solution space.  Those loops are kept here as the reference, and
-``_find_invertible`` must give the same verdict on every seeded input: a
+solution space.  Those loops are kept here as the reference, and the shared
+search (``_attempts``) must give the same verdict on every seeded input: a
 change to the order of the random draws would flip some of the short-trial
 verdicts below.  The reference loops form every candidate over ``Fraction``
 with ``_combination`` and test it with ``_gm_invertible``, the per-vertex
-rank check that ``_find_invertible`` used before it formed its candidates
-in integers.
+rank check that the search used before it formed its candidates in
+integers.
+
+The search under test builds no basis: it keeps the forward integer
+echelon form of its system and back-substitutes each candidate from it
+(``_solutions``).  The references still span the space with ``hom_basis``
+or ``framed_equivalence_space``, and each back-substituted candidate is
+checked to be the reference's combination of the same coefficients, up to
+a nonzero scale.
 
 ``_gm_invertible`` is also the oracle for ``_invertible``, the fraction-free
 (Bareiss) test of the integer candidate blocks, and ``reference_is_isomorphic``
 keeps the order ``is_isomorphic`` had before it drew a few witnesses ahead of
-the Hom-dimension fast paths, and before it compared arrow ranks first.
+the Hom-dimension fast paths, and before it compared arrow ranks first, on
+the reference search.
 
 The arrow-rank fingerprint (``_arrow_ranks``) is checked last: it is a
 base-change invariant, it settles the benchmark's negatives with no Hom
@@ -30,10 +38,11 @@ import pytest
 
 from e2quiver import preproj
 from e2quiver.euclid import to_quiver
-from e2quiver.linalg import Matrix, rank
+from e2quiver.linalg import Matrix, _augment, _forward, rank
 from e2quiver.moduli import (
     FramedPoint,
     Partition,
+    _framed_system,
     apply_gv_framed,
     enumerate_thin_indecomposables,
     framed_equivalence_space,
@@ -47,9 +56,10 @@ from e2quiver.preproj import (
     _arrow_ranks,
     _attempts,
     _combination,
-    _find_invertible,
+    _HomLayout,
     _invertible,
     _scaled_blocks,
+    _solutions,
     apply_gv,
     direct_sum,
     hom_basis,
@@ -62,6 +72,20 @@ from e2quiver.quiver import DimensionVector, Window
 SEEDS = (0, 1, 2, 3)
 TRIALS = (1, 2, 5, 20)
 SMALL_GRID = 700
+
+
+def _hom_echelon(x, y):
+    """The search's system for is_isomorphic: the intertwiner system of
+    Hom(x, y) in forward echelon form, as (layout, echelon, pivots)."""
+    layout = _HomLayout(x, y)
+    return (layout, *_forward(layout.intertwiner_rows(), layout.size))
+
+
+def _framed_echelon(p, q):
+    """The search's system for framed_equivalent: the combined system with
+    its right-hand side as column layout.size, in forward echelon form."""
+    layout, rows, rhs = _framed_system(p, q)
+    return (layout, *_forward(_augment(rows, layout.size, ((v,) for v in rhs)), layout.size + 1))
 
 
 def _gm_invertible(g: GradedMap) -> bool:
@@ -241,8 +265,9 @@ def test_hom_search_matches_reference():
             continue
         mixed += len({_denominator(g) for g in basis}) > 1
         d = x.total_dim
+        echelon = _hom_echelon(x, y)
         for mode in _modes(d, len(basis)):
-            got = _find_invertible(basis, **mode)
+            got = any(_attempts(*echelon, **mode))
             assert got == reference_hom_search(basis, d, **mode), (x, y, mode)
             verdicts[got] += 1
             exhaustive += mode["exhaustive"]
@@ -256,11 +281,14 @@ def test_affine_search_matches_reference():
     exhaustive = 0
     for p, q in framed_corpus():
         particular, kernel = framed_equivalence_space(p, q)
+        layout, echelon, pivots = _framed_echelon(p, q)
+        # a pivot in the right-hand side column is an inconsistent system
+        assert (particular is None) == (pivots[-1] == layout.size)
         if particular is None:
             continue
         d = p.rep.total_dim
         for mode in _modes(d, len(kernel)):
-            got = _find_invertible(kernel, particular, **mode)
+            got = any(_attempts(layout, echelon, pivots, affine=True, **mode))
             assert got == reference_affine_search(particular, kernel, d, **mode), (p, q, mode)
             verdicts[got] += 1
             exhaustive += mode["exhaustive"]
@@ -268,10 +296,61 @@ def test_affine_search_matches_reference():
 
 
 
-def _search_blocks(basis):
-    """_invertible's blocks for square maps: each vertex block's entries as
-    columns of their values in the maps, as _find_invertible reads them."""
-    return [(k, list(zip(*maps))) for k, maps in _scaled_blocks(basis)]
+def _scale_to(w, g):
+    """The nonzero rational l with w = l g, for integer coordinates w in
+    the layout order (vertex by vertex, row-major) and a graded map g, or
+    None when there is none; 1 when both are zero."""
+    flat = [a for v in sorted(g) for a in g[v].entries()]
+    assert len(flat) == len(w)
+    first = next((i for i, a in enumerate(flat) if a), None)
+    if first is None:
+        return 1 if not any(w) else None
+    scale = Fraction(w[first]) / flat[first]
+    return scale if all(b == scale * a for a, b in zip(flat, w)) else None
+
+
+def _search_cases():
+    """(echelon form, affine, particular, kernel, d) for the nonzero Hom
+    spaces of hom_corpus, fractional_hom_corpus and iso_corpus and the
+    consistent systems of framed_corpus, with the reference spanning maps
+    and the total dimension d."""
+    pairs = hom_corpus() + fractional_hom_corpus() + [(x, y) for _, x, y in iso_corpus()]
+    for x, y in pairs:
+        basis = hom_basis(x, y).basis
+        if basis:
+            yield _hom_echelon(x, y), False, None, basis, x.total_dim
+    for p, q in framed_corpus():
+        particular, kernel = framed_equivalence_space(p, q)
+        if particular is not None:
+            yield _framed_echelon(p, q), True, particular, kernel, p.rep.total_dim
+
+
+def test_back_substituted_candidates_are_the_basis_combinations():
+    checked = {"random": 0, "grid": 0, "affine": 0, "scaled": 0}
+    for (layout, echelon, pivots), affine, particular, kernel, d in _search_cases():
+        n = len(kernel)
+        modes = [(seed, 4, False) for seed in (0, 1)]
+        if (d + 1) ** n <= SMALL_GRID:
+            modes.append((0, 0, True))
+        for seed, trials, exhaustive in modes:
+            candidates = _solutions(layout, echelon, pivots, affine, seed, trials, exhaustive)
+            # the first points of a grid are enough to meet every shape
+            for coeffs, w in itertools.islice(candidates, 12):
+                assert len(coeffs) == n
+                if w is None:
+                    assert not affine and not any(coeffs)
+                    continue
+                combination = _combination(kernel, coeffs) if kernel else None
+                if affine:
+                    combination = particular if combination is None else _gm_add(particular, combination)
+                scale = _scale_to(w[: layout.size], combination)
+                assert scale, (coeffs, w)
+                checked["grid" if exhaustive else "random"] += 1
+                checked["affine"] += affine
+                checked["scaled"] += scale != 1
+    # both modes, both kinds of system, and candidates whose back-substitution
+    # had to scale by a pivot
+    assert all(checked.values()), checked
 
 
 def _square_maps(*blocks_per_map):
@@ -281,7 +360,7 @@ def _square_maps(*blocks_per_map):
 
 
 def _assert_matches_rank(basis, coeffs):
-    got = _invertible(_search_blocks(basis), coeffs)
+    got = _invertible(_scaled_blocks(_combination(basis, coeffs)))
     assert got == _gm_invertible(_combination(basis, coeffs)), (basis, coeffs)
     return got
 
@@ -360,7 +439,14 @@ def reference_is_isomorphic(x, y):
         return lambda **mode: False
     if hom_dim(x, x) != hom_dim(y, y):
         return lambda **mode: False
-    return lambda **mode: _find_invertible(forward.basis, **mode)
+    d, n = x.total_dim, forward.dim
+
+    def search(seed, trials, exhaustive):
+        if exhaustive and n > 1 and (d + 1) ** n > _GRID_LIMIT:
+            raise ValueError(f"exhaustive grid of {d + 1}^{n} points is over the limit of {_GRID_LIMIT}")
+        return reference_hom_search(forward.basis, d, seed, trials, exhaustive)
+
+    return search
 
 
 def _same_homs(x, y):
@@ -401,8 +487,9 @@ def test_witness_first_keeps_every_verdict():
         basis = hom_basis(x, y).basis
         reference = reference_is_isomorphic(x, y)
         assert (len(basis) == 1) == kind.endswith("hom1"), kind
+        echelon = _hom_echelon(x, y)
         for seed in SEEDS:
-            draws = list(_attempts(basis, seed=seed, trials=20, exhaustive=False))
+            draws = list(_attempts(*echelon, seed=seed, trials=20, exhaustive=False))
             if True in draws and draws.index(True) >= _WITNESS_DRAWS:
                 seen.add((kind, "late witness"))
             for trials in (0, 1, 2, 3, 4, 20):
@@ -443,14 +530,16 @@ def test_exhaustive_fast_paths_still_come_before_the_grid_check():
 
 
 def _count_hom_calls(monkeypatch):
-    """Counts of the Hom eliminations is_isomorphic makes from here on."""
-    calls = {"hom_basis": 0, "hom_dim": 0}
+    """Counts of the Hom eliminations is_isomorphic makes from here on: Hom
+    bases, Hom ranks, and forward eliminations of the Hom(x, y) system for
+    the search (preproj's _forward)."""
+    calls = {"hom_basis": 0, "hom_dim": 0, "_forward": 0}
     for name in calls:
         original = getattr(preproj, name)
 
-        def counted(x, y, name=name, original=original):
+        def counted(*args, name=name, original=original):
             calls[name] += 1
-            return original(x, y)
+            return original(*args)
 
         monkeypatch.setattr(preproj, name, counted)
     return calls
@@ -507,7 +596,7 @@ def test_arrow_ranks_make_benchmark_negatives_certain(monkeypatch):
             assert is_isomorphic(x, y, seed=seed, trials=20) is False
         # decided before the grid, whatever its size
         assert is_isomorphic(x, y, exhaustive=True) is False
-    assert calls == {"hom_basis": 0, "hom_dim": 0}
+    assert calls == {"hom_basis": 0, "hom_dim": 0, "_forward": 0}
 
 
 def equal_rank_negatives():
@@ -544,11 +633,13 @@ def test_equal_arrow_ranks_still_reach_the_search(monkeypatch):
     for same, x, y in pairs:
         assert _arrow_ranks(x) == _arrow_ranks(y)
         reference = reference_is_isomorphic(x, y)
-        before = calls["hom_basis"]
+        before = calls["_forward"]
         for seed in SEEDS:
             for trials in (0, 1, 3, 20):
                 mode = {"seed": seed, "trials": trials, "exhaustive": False}
                 assert is_isomorphic(x, y, **mode) is reference(**mode) is False, (same, mode)
         mode = {"seed": 0, "trials": 20, "exhaustive": True}
         assert is_isomorphic(x, y, **mode) is reference(**mode) is False, same
-        assert calls["hom_basis"] == before + 4 * 4 + 1
+        # one forward elimination of Hom(x, y) per call, and no Hom basis
+        assert calls["_forward"] == before + 4 * 4 + 1
+        assert calls["hom_basis"] == 0

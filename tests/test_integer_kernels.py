@@ -255,17 +255,11 @@ def _endomorphisms(corpus):
         yield from basis[:3]
 
 
-def integer_blocks(phi):
-    """The nonempty blocks of D phi as integer rows, D the lcm of phi's
-    denominators over all weight spaces."""
-    return [[flat[r * k : (r + 1) * k] for r in range(k)] for k, (flat,) in _scaled_blocks([phi])]
-
-
 def test_minimal_polynomial_and_kernels_match_fraction_powers(corpus):
     factored = 0
     for phi in _endomorphisms(corpus):
         matrices = [m for m in phi.values() if m.rows]
-        blocks = integer_blocks(phi)
+        blocks = _scaled_blocks(phi)
         minpoly = [1]
         for block in blocks:
             poly = _minimal_polynomial(block)
@@ -343,6 +337,6 @@ def test_minimal_polynomial_agrees_with_sympy(corpus):
         matrices.append(g * Matrix.from_rows(jordan) * inverse(g))
     matrices += [m for phi in list(_endomorphisms(corpus[-4:]))[::3] for m in phi.values() if 0 < m.rows <= 4]
     for m in matrices:
-        (block,) = integer_blocks({0: m})
+        (block,) = _scaled_blocks({0: m})
         assert _minimal_polynomial(block) == sympy_minimal_polynomial(sympy, Matrix.from_rows(block))
 

@@ -29,6 +29,7 @@ from e2quiver.moduli import (
 from e2quiver.preproj import (
     INDECOMPOSABLE,
     QuiverRep,
+    apply_gv,
     check_relations,
     decompose,
     is_indecomposable,
@@ -192,6 +193,27 @@ def test_framed_point_checks_the_relations_once(monkeypatch):
     )
     with pytest.raises(ValueError, match="invalid module: "):
         framed_point(GeneratorSet(module, [(0, (Fraction(1),))]))
+
+
+def test_apply_gv_framed_skips_the_relation_check(monkeypatch, young_corpus):
+    rng = random.Random(41)
+    points = [framed_point(gs) for _, gs in young_corpus[::4]]
+    cases = [(p, random_gv(p.rep, rng)) for p in points]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return check_relations(x)
+
+    monkeypatch.setattr(moduli, "check_relations", counted)
+    moved = [apply_gv_framed(p, g) for p, g in cases]
+    assert calls == []
+    monkeypatch.undo()
+    # the same point as the checked construction, whose check passes
+    for (p, g), q in zip(cases, moved):
+        framing = {k: g[k] * p.framing_map(k) for k in p.framing}
+        assert q == FramedPoint(apply_gv(p.rep, g), p.framing_dims, framing)
+        assert check_relations(q.rep) == []
 
 
 def test_stability_is_orbit_invariant(young_corpus):
