@@ -7,9 +7,9 @@ checked: on a finite window they imply nilpotency, because the
 preprojective algebra of a finite type-A quiver is finite-dimensional, so
 every long enough path is zero in it (Lusztig 1991).  Stability (no proper
 invariant graded subspace contains the framing image) is exactly the
-statement that the marked vectors generate, and stable points have trivial
-stabilizer under the base-change group, which makes framed equivalence
-testing deterministic.
+statement that the marked vectors generate, tested by spinning them in
+Python ints.  Stable points have trivial stabilizer under the base-change
+group, which makes framed equivalence testing deterministic.
 
 Young diagrams enter through the single-generator modules: boxes are basis
 vectors, the weight of a box is its anchor plus its residue (column minus
@@ -23,11 +23,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .euclid import EuclideanModule
 # rank is unused here, but bench/test_bench.py checks that its tracer rewraps moduli.rank
-from .linalg import Echelon, Matrix, SparseRow, Vector, _augment, _forward, frac, rank, sparse_affine_solve
+from .linalg import Echelon, Matrix, SparseRow, Vector, _augment, _forward, frac, rank, scale_to_ints, sparse_affine_solve
 from .preproj import (
     GradedMap,
     QuiverRep,
@@ -266,70 +268,78 @@ def framed_point(gs: GeneratorSet) -> FramedPoint:
     return FramedPoint._of_valid(rep, framing_dims, framing)
 
 
-def invariant_closure(
-    x: QuiverRep, seed: Mapping[int, Sequence[Sequence]] | Mapping[int, Sequence[Vector]]
-) -> dict[int, Matrix]:
-    """Smallest invariant graded subspace containing the seed vectors.
+def _spin(x: QuiverRep, seed: Mapping) -> dict[int, list[tuple[list[int], int]]]:
+    """invariant_closure's basis per vertex, each vector as integers n over
+    a denominator d > 0 (the vector n / d)."""
+    basis: dict[int, list[tuple[list[int], int]]] = {v: [] for v in x.window.vertices()}
+    echelons = {v: Echelon() for v in basis}
 
-    Spinning: the seed vectors that are independent form the start of a
-    column basis per weight, and each arrow pushes every basis vector at its
-    source through its map once, keeping the images that are independent.
-    An arrow keeps a cursor into its source's basis, so each (arrow,
-    vector) pair is tried once, and an arrow into a full weight space is
-    skipped.  Membership is tested by fraction-free echelon (``Echelon``),
-    kept beside the columns, which stay the Fraction images themselves.
-    The result is deterministic: vectors are appended in arrow order, pass
-    after pass, and never rewritten.
-    """
-    vertices = list(x.window.vertices())
-    basis_cols: dict[int, list[Vector]] = {v: [] for v in vertices}
-    echelons = {v: Echelon() for v in vertices}
-
-    def try_add(vertex: int, vec: Vector) -> bool:
-        if echelons[vertex].add({j: c for j, c in enumerate(vec) if c}):
-            basis_cols[vertex].append(vec)
-            return True
-        return False
+    def try_add(vertex: int, ints: list[int], den: int) -> bool:
+        kept = echelons[vertex].add({j: c for j, c in enumerate(ints) if c})
+        if kept:
+            basis[vertex].append((ints, den))
+        return kept
 
     for k, vectors in seed.items():
         k = int(k)
         if not x.window.contains(k):
             raise ValueError(f"seed weight {k} outside window")
         for raw in vectors:
-            vec = tuple(frac(c) for c in raw)
+            vec = [frac(c) for c in raw]
             if len(vec) != x.dim(k):
                 raise ValueError(f"seed vector at weight {k} has wrong length")
-            try_add(k, vec)
+            try_add(k, *scale_to_ints(vec))
 
-    # the arrows with a nonzero map, and how many source vectors each pushed
-    arrows = [a for a in double_arrows(x.window) if x.map(a).rows and x.map(a).cols]
+    # the nonzero arrow maps as integer rows over a denominator, and how many source vectors each pushed
+    arrows = []
+    for arrow in double_arrows(x.window):
+        if (m := x.map(arrow)).rows and m.cols:
+            ints, den = scale_to_ints(m.entries())
+            arrows.append((arrow, [ints[r * m.cols : (r + 1) * m.cols] for r in range(m.rows)], den))
     pushed = [0] * len(arrows)
     changed = True
     while changed:
         changed = False
-        for i, arrow in enumerate(arrows):
-            source = basis_cols[arrow.source]
+        for i, (arrow, rows, d) in enumerate(arrows):
+            source = basis[arrow.source]
             start, pushed[i] = pushed[i], len(source)
-            if len(basis_cols[arrow.target]) == x.dim(arrow.target):
+            if len(basis[arrow.target]) == x.dim(arrow.target):
                 continue
-            m = x.map(arrow)
-            for vec in source[start : pushed[i]]:
-                if try_add(arrow.target, m.apply(vec)):
+            for vec, vec_den in source[start : pushed[i]]:
+                image, den = [sum(map(mul, row, vec)) for row in rows], vec_den * d
+                if den > 1 and (g := gcd(den, *image)) > 1:
+                    image, den = [c // g for c in image], den // g
+                if try_add(arrow.target, image, den):
                     changed = True
+    return basis
+
+
+def invariant_closure(
+    x: QuiverRep, seed: Mapping[int, Sequence[Sequence]] | Mapping[int, Sequence[Vector]]
+) -> dict[int, Matrix]:
+    """Smallest invariant graded subspace containing the seed vectors.
+
+    Spinning: the seed vectors that are independent start a column basis
+    per weight, and each arrow pushes every basis vector at its source
+    through its map once, keeping the independent images.  An arrow keeps a
+    cursor into its source's basis, so each (arrow, vector) pair is tried
+    once, and an arrow into a full weight space is skipped.  The spin runs
+    on Python ints: arrow maps and basis vectors are integers over a
+    denominator, and membership is tested by fraction-free echelon
+    (``Echelon``).  The result is deterministic: vectors are appended in
+    arrow order, pass after pass, and never rewritten.
+    """
     return {
-        v: Matrix.from_columns(cols, rows=x.dim(v)) for v, cols in basis_cols.items()
+        v: Matrix(x.dim(v), len(cols), (Fraction(vec[r], den) for r in range(x.dim(v)) for vec, den in cols))
+        for v, cols in _spin(x, seed).items()
     }
 
 
 def is_stable(p: FramedPoint) -> bool:
     """Whether the only invariant graded subspace containing the framing
     image is the whole space; equivalently, the framing columns generate."""
-    seed = {
-        k: [p.framing_map(k).col(j) for j in range(p.framing_map(k).cols)]
-        for k in p.rep.window.vertices()
-    }
-    closure = invariant_closure(p.rep, seed)
-    return all(closure[v].cols == p.rep.dim(v) for v in p.rep.window.vertices())
+    seed = {k: [s.col(j) for j in range(s.cols)] for k, s in p.framing.items()}
+    return all(len(cols) == p.rep.dim(v) for v, cols in _spin(p.rep, seed).items())
 
 
 def _framed_system(p: FramedPoint, q: FramedPoint) -> tuple[_HomLayout, list[SparseRow], list[Fraction]]:
@@ -340,13 +350,14 @@ def _framed_system(p: FramedPoint, q: FramedPoint) -> tuple[_HomLayout, list[Spa
     layout = _HomLayout(p.rep, q.rep)
     rows = layout.intertwiner_rows()
     rhs = [_ZERO] * len(rows)
-    for k in layout.window.vertices():
-        s, s2 = p.framing_map(k), q.framing_map(k)
-        for r, c in itertools.product(range(layout.y.dim(k)), range(p.framing_dims[k])):
-            row: SparseRow = {layout.index(k, r, j): s[j, c] for j in range(layout.x.dim(k)) if s[j, c]}
-            if row or s2[r, c]:
+    for k in sorted(p.framing.keys() | q.framing.keys()):  # elsewhere s = s' = 0 gives no row
+        w, n, base = p.framing_dims[k], layout.x.dim(k), layout.offsets[k]
+        s, s2 = p.framing_map(k).entries(), q.framing_map(k).entries()
+        for r, c in itertools.product(range(layout.y.dim(k)), range(w)):
+            row: SparseRow = {base + r * n + j: a for j, a in enumerate(s[c::w]) if a}
+            if row or s2[r * w + c]:
                 rows.append(row)
-                rhs.append(s2[r, c])
+                rhs.append(s2[r * w + c])
     return layout, rows, rhs
 
 
@@ -394,11 +405,7 @@ def framed_equivalent(
 def apply_gv_framed(p: FramedPoint, g: GradedMap) -> FramedPoint:
     """Base-change action on framed points: (g . x, (g_i s_i))."""
     rep = apply_gv(p.rep, g)
-    framing = {}
-    for k in p.rep.window.vertices():
-        s = p.framing_map(k)
-        if s.rows > 0 and s.cols > 0:
-            framing[k] = g[k] * s
+    framing = {k: g[k] * s for k, s in p.framing.items()}
     # a base change conjugates each relation value, so none can fail
     return FramedPoint._of_valid(rep, p.framing_dims, framing)
 

@@ -16,10 +16,11 @@ ker f_i(phi) for the coprime factors f_i of its minimal polynomial are
 submodules with direct sum M.  The f_i come from Yun's square-free blocks
 and their integer roots, found p-adically with no size cap.
 
-Results are exact rationals, but the inner loops under ``decompose`` run on
-Python ints: each input is scaled by the lcm of its denominators and the
-scale is divided out once at the end.  That covers the intertwiner rows of
-the Hom system and the trace pairing.  A split candidate phi is scaled once,
+Results are exact rationals, but the inner loops run on Python ints: each
+input is scaled by the lcm of its denominators, and the scale is divided
+out once at the end.  That covers the relation check (path products
+compared cross-multiplied), the intertwiner rows of the Hom system and the
+trace pairing under ``decompose``.  A split candidate phi is scaled once,
 by one D for all weight spaces, and every polynomial of the split is a
 monic integer polynomial of D phi, whose kernels ker f_i(D phi) are the
 components.  One inverse per weight space gives the coordinates along every
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -71,7 +73,6 @@ from .quiver import (
     Window,
     check_size,
     double_arrows,
-    gp_relation,
     json_int,
     json_object,
     window_of_support,
@@ -192,22 +193,34 @@ class QuiverRep:
         return cls(window, dims, maps)
 
 
-def relation_value(x: QuiverRep, i: int) -> Matrix:
-    """The matrix of the Gelfand-Ponomarev relation r_i evaluated at x."""
-    term = gp_relation(x.window, i)
-    n = x.dim(i)
-    value = Matrix.zero(n, n)
-    for first, second in term.positive:
-        value = value + x.map(second) * x.map(first)
-    for first, second in term.negative:
-        value = value - x.map(second) * x.map(first)
-    return value
+def _path(first: tuple[list[int], int], second: tuple[list[int], int], n: int, m: int) -> tuple[list[int], int]:
+    """second * first for first: n -> m and second: m -> n, all row-major ints over a denominator."""
+    (a, da), (b, db) = first, second
+    cols = [a[c::n] for c in range(n)]
+    return [sum(map(mul, b[r * m : r * m + m], col)) for r in range(n) for col in cols], da * db
 
 
 def check_relations(x: QuiverRep) -> list[int]:
     """Vertices where the preprojective relation fails; empty iff x is a
-    module over the preprojective algebra."""
-    return [i for i in x.window.vertices() if not relation_value(x, i).is_zero()]
+    module over the preprojective algebra.
+
+    The relation at i is hbar_i h_i - h_{i-1} hbar_{i-1}, each term dropped
+    at its window end.  It runs on Python ints, with no Matrix built: each
+    arrow map is scaled once to integers over the lcm of its denominators,
+    and the two paths at a vertex are compared cross-multiplied by theirs.
+    """
+    w, scaled = x.window, {name: scale_to_ints(m.entries()) for name, m in x.maps.items()}
+    violated = []
+    for i in w.vertices():
+        n = x.dim(i)
+        p, dp = q, dq = [0] * n * n, 1
+        if i < w.b:
+            p, dp = _path(scaled[f"h{i}"], scaled[f"hbar{i}"], n, x.dim(i + 1))
+        if i > w.a:
+            q, dq = _path(scaled[f"hbar{i - 1}"], scaled[f"h{i - 1}"], n, x.dim(i - 1))
+        if any(u * dq != v * dp for u, v in zip(p, q)):
+            violated.append(i)
+    return violated
 
 
 def total_matrix(x: QuiverRep) -> Matrix:
@@ -850,8 +863,8 @@ def _arrow_ranks(x: QuiverRep) -> dict[str, int]:
 _WITNESS_DRAWS = 3
 
 # The exhaustive search refuses grids of more than this many points.  On a
-# 2-vCPU Xeon host it walks 30,000-80,000 points a second on maps of total
-# dimension 4-6, one back-substitution each: a full walk is under a second.
+# 2-vCPU Xeon host it walks 40,000-600,000 points a second at total dimension
+# 4-6, the most where points stop at a singular block: a full walk takes < 1 s.
 _GRID_LIMIT = 10_000
 
 
@@ -879,18 +892,30 @@ def _attempts(
     `trials` seeded draws in [-2^t, 2^t], t = 1, 2, ... (one-sided: True is a
     witness).  An all-zero c of a homogeneous system is False; a grid of
     more than _GRID_LIMIT points raises ValueError.
+
+    Each candidate is back-substituted one vertex block at a time, last
+    first, and a block is tested once complete (a later rescaling of D v
+    keeps it invertible): the first singular one settles the candidate.
     """
-    blocks = [(layout.offsets[v], k) for v in layout.window.vertices() if (k := layout.x.dim(v))]
+    blocks = [(layout.offsets[v], k) for v in reversed(layout.window.vertices()) if (k := layout.x.dim(v))]
+    cuts = [bisect_left(pivots, o) for o, _ in blocks]  # the first pivot row of each block
+    stages = [(echelon[lo:hi], pivots[lo:hi], o, k) for (o, k), lo, hi in zip(blocks, cuts, [len(pivots)] + cuts)]
     for _, w in _solutions(layout, echelon, pivots, affine, seed, trials, exhaustive):
-        yield w is not None and _invertible([w[o + r * k : o + r * k + k] for r in range(k)] for o, k in blocks)
+        invertible = w is not None
+        for rows, cols, o, k in stages if invertible else ():
+            w = _back_substitute(rows, cols, w)
+            if not (w[o] if k == 1 else _invertible([[w[o + r * k : o + r * k + k] for r in range(k)]])):
+                invertible = False
+                break
+        yield invertible
 
 
 def _solutions(
     layout: _HomLayout, echelon: list[_IntRow], pivots: list[int], affine: bool, seed: int, trials: int, exhaustive: bool
 ) -> Iterator[tuple[Sequence[int], list[int] | None]]:
-    """Each candidate's free coordinates c, with D v (_back_substitute) for
-    the solution v they fix, or None for an all-zero c of a homogeneous
-    system.  The right-hand side column is held at -1: [A | b] (v, -1) = 0."""
+    """Each candidate's free coordinates c, with the w that _back_substitute
+    completes to D v (c in the free columns, -1 in the right-hand side
+    column: [A | b] (v, -1) = 0), or None for an all-zero homogeneous c."""
     free = sorted(set(range(layout.size)).difference(pivots))
     n, d = len(free), layout.x.total_dim
     if n + affine == 1:
@@ -907,7 +932,7 @@ def _solutions(
         w = start.copy()
         for col, a in zip(free, c):
             w[col] = a
-        yield c, (_back_substitute(echelon, pivots, w) if affine or any(c) else None)
+        yield c, (w if affine or any(c) else None)
 
 
 def _back_substitute(echelon: list[_IntRow], pivots: list[int], w: list[int]) -> list[int]:

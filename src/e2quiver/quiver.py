@@ -1,5 +1,4 @@
-"""Type-A quivers on integer vertex labels, their doubles, and the
-Gelfand-Ponomarev relations.
+"""Type-A quivers on integer vertex labels and their doubles.
 
 The infinite linear quiver (vertices Z, arrows i -> i+1) is never
 materialized: every finite-dimensional representation is supported on
@@ -218,30 +217,3 @@ def double_arrows(w: Window) -> list[Arrow]:
     forward = [Arrow(i) for i in w.arrow_indices()]
     backward = [Arrow(i, reverse=True) for i in w.arrow_indices()]
     return forward + backward
-
-
-@dataclass(frozen=True)
-class RelationTerm:
-    """The Gelfand-Ponomarev relation at a vertex, as signed length-2 paths.
-
-    Each pair (first, second) is applied first arrow first.  For an interior
-    vertex i the positive part is (h_i, hbar_i) and the negative part is
-    (hbar_{i-1}, h_{i-1}); the parts are trimmed at the window ends.
-    """
-
-    vertex: int
-    positive: tuple[tuple[Arrow, Arrow], ...]
-    negative: tuple[tuple[Arrow, Arrow], ...]
-
-
-def gp_relation(w: Window, i: int) -> RelationTerm:
-    """Relation r_i on the window: paths out of i via h minus paths into i via h."""
-    if not w.contains(i):
-        raise ValueError(f"vertex {i} outside window [{w.a}, {w.b}]")
-    positive: tuple[tuple[Arrow, Arrow], ...] = ()
-    negative: tuple[tuple[Arrow, Arrow], ...] = ()
-    if i < w.b:
-        positive = (((Arrow(i), Arrow(i, reverse=True))),)
-    if i > w.a:
-        negative = (((Arrow(i - 1, reverse=True), Arrow(i - 1))),)
-    return RelationTerm(i, positive, negative)

@@ -13,7 +13,9 @@ from fractions import Fraction
 from e2quiver.euclid import EuclideanModule
 from e2quiver.linalg import Matrix, SparseRow, rank, sparse_kernel
 from e2quiver.preproj import QuiverRep
-from e2quiver.quiver import double_arrows, gp_relation
+from e2quiver.quiver import double_arrows
+
+from relation_oracle import gp_relation
 
 _ZERO = Fraction(0)
 

@@ -1,12 +1,15 @@
 """The spinning invariant closure against the rank-per-vector oracle, and the
-work it does: each (arrow, vector) pair is pushed once."""
+work it does: each (arrow, vector) pair is pushed once, which the tests
+count as the rows offered to the closure's echelons."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from e2quiver.linalg import Matrix
+from e2quiver import moduli
+from e2quiver.euclid import to_quiver
+from e2quiver.linalg import Echelon, Matrix
 from e2quiver.moduli import (
     FramedPoint,
     apply_gv_framed,
@@ -20,6 +23,7 @@ from e2quiver.preproj import apply_gv, direct_sum, random_gv
 from e2quiver.quiver import double_arrows
 
 import rank_closure
+from test_integer_kernels import fractional_gv
 
 ANCHORS = (-2, 0, 3)
 
@@ -112,33 +116,58 @@ def test_closure_matches_oracle_on_conjugated_thin_sums(thin16):
     assert kinds == {"empty", "zero", "random", "repeat", "combination"}
 
 
+def test_closure_matches_oracle_on_fractional_hidden_sums(thin16, young_corpus):
+    """Arrow maps with denominators: the integer spin's images carry the
+    product of the map's and the vector's denominators."""
+    rng = random.Random(7)
+    kinds = set()
+    young = [to_quiver(gs.module) for _, gs in young_corpus[3:29:5]]
+    sums = [direct_sum(rng.choice(thin16), rng.choice(thin16)) for _ in range(30)] + [direct_sum(y, y) for y in young]
+    hidden = [apply_gv(rep, fractional_gv(rep, rng)) for rep in sums]
+    for rep in hidden:
+        _assert_same_closure(rep, _awkward_seed(rep, rng, kinds))
+    assert all(any(e.denominator > 1 for m in rep.maps.values() for e in m.entries()) for rep in hidden)
+    assert kinds == {"empty", "zero", "random", "repeat", "combination"}
+
+
+def _count_offers(monkeypatch) -> list:
+    """The echelons that invariant_closure makes from now on, one per
+    vertex in vertex order, each counting the rows offered to it: one per
+    seed vector and one per (arrow, vector) pair pushed."""
+    made = []
+
+    class CountingEchelon(Echelon):
+        def __init__(self):
+            super().__init__()
+            self.offered = 0
+            made.append(self)
+
+        def add(self, row):
+            self.offered += 1
+            return super().add(row)
+
+    monkeypatch.setattr(moduli, "Echelon", CountingEchelon)
+    return made
+
+
 def test_closure_counts_each_arrow_vector_pair_once(young_points, monkeypatch):
-    applied = []
-    original = Matrix.apply
-
-    def counting_apply(self, v):
-        applied.append(self)
-        return original(self, v)
-
-    monkeypatch.setattr(Matrix, "apply", counting_apply)
+    made = _count_offers(monkeypatch)
+    total = 0
     for _, conjugate, remarked in young_points[::5]:
         for point in (conjugate, remarked):
             rep = point.rep
-            applied.clear()
-            closure = invariant_closure(rep, _framing_seed(point))
+            seed = _framing_seed(point)
+            made.clear()
+            closure = invariant_closure(rep, seed)
+            pushed = sum(e.offered for e in made) - sum(len(vectors) for vectors in seed.values())
             bound = sum(closure[arrow.source].cols for arrow in double_arrows(rep.window))
-            assert len(applied) <= bound
+            assert pushed <= bound
+            total += pushed
+    assert total > 0
 
 
 def test_closure_skips_arrows_into_a_full_weight_space(young_points, monkeypatch):
-    applied = []
-    original = Matrix.apply
-
-    def counting_apply(self, v):
-        applied.append(self)
-        return original(self, v)
-
-    monkeypatch.setattr(Matrix, "apply", counting_apply)
+    made = _count_offers(monkeypatch)
     checked = 0
     for base, _, _ in young_points:
         rep = base.rep
@@ -149,9 +178,10 @@ def test_closure_skips_arrows_into_a_full_weight_space(young_points, monkeypatch
             continue
         seed = _framing_seed(base)
         seed[k] = [[int(i == j) for i in range(n)] for j in range(n)]
-        applied.clear()
+        made.clear()
         invariant_closure(rep, seed)
-        into_k = [rep.map(arrow) for arrow in double_arrows(rep.window) if arrow.target == k]
-        assert into_k and not any(m is a for m in into_k for a in applied)
+        # nothing is pushed into k: its echelon sees only the seed vectors
+        assert any(arrow.target == k for arrow in double_arrows(rep.window))
+        assert made[list(rep.window.vertices()).index(k)].offered == n
         checked += 1
     assert checked > 50

@@ -13,10 +13,10 @@ integers.
 
 The search under test builds no basis: it keeps the forward integer
 echelon form of its system and back-substitutes each candidate from it
-(``_solutions``).  The references still span the space with ``hom_basis``
-or ``framed_equivalence_space``, and each back-substituted candidate is
-checked to be the reference's combination of the same coefficients, up to
-a nonzero scale.
+(``_solutions`` and ``_back_substitute``).  The references still span the
+space with ``hom_basis`` or ``framed_equivalence_space``, and each
+back-substituted candidate is checked to be the reference's combination of
+the same coefficients, up to a nonzero scale.
 
 ``_gm_invertible`` is also the oracle for ``_invertible``, the fraction-free
 (Bareiss) test of the integer candidate blocks, and ``reference_is_isomorphic``
@@ -55,6 +55,7 @@ from e2quiver.preproj import (
     GradedMap,
     _arrow_ranks,
     _attempts,
+    _back_substitute,
     _combination,
     _HomLayout,
     _invertible,
@@ -340,6 +341,7 @@ def test_back_substituted_candidates_are_the_basis_combinations():
                 if w is None:
                     assert not affine and not any(coeffs)
                     continue
+                w = _back_substitute(echelon, pivots, w)
                 combination = _combination(kernel, coeffs) if kernel else None
                 if affine:
                     combination = particular if combination is None else _gm_add(particular, combination)

@@ -240,6 +240,30 @@ def test_framed_equivalence_space_matches_fraction_rows():
     assert checked >= 4
 
 
+def test_framed_equivalence_space_matches_fraction_rows_on_wide_framings():
+    """Several framing columns at a weight space of another dimension, so
+    that reading a column of s off its row-major entries is exercised."""
+    rng = random.Random(33)
+    checked = 0
+    for parts, a in (((3, 2, 1), 0), ((3, 1), -1), ((2, 2), 1)):
+        rep = to_quiver(young_module(Partition(parts), a).module)
+        framing_dims = DimensionVector({a: 2, a + 1: 3})
+        framing = {
+            k: Matrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(w)] for _ in range(rep.dim(k))])
+            for k, w in framing_dims.items()
+            if rep.dim(k)
+        }
+        point = FramedPoint(rep, framing_dims, framing)
+        g = fractional_gv(rep, rng)
+        moved = FramedPoint(apply_gv(rep, g), framing_dims, {k: g[k] * s for k, s in point.framing.items()})
+        other = FramedPoint(rep, framing_dims, {k: s.scale(2) for k, s in point.framing.items()})
+        assert any(s.rows != s.cols and s.cols > 1 for s in point.framing.values())
+        for p, q in ((point, moved), (moved, point), (moved, other)):
+            assert framed_equivalence_space(p, q) == oracle_framed_space(p, q)
+            checked += framed_equivalence_space(p, q)[0] is not None
+    assert checked >= 3
+
+
 # --- minimal polynomials and primary components ---------------------------------
 
 

@@ -5,9 +5,10 @@ from e2quiver.quiver import (
     DimensionVector,
     Window,
     double_arrows,
-    gp_relation,
     window_of_support,
 )
+
+from relation_oracle import gp_relation
 
 
 def test_dimension_vector_basics():
