@@ -3,10 +3,11 @@
 Each invocation emits a single pretty-printed JSON document with stable key
 ordering on standard output.  Exit codes: 0 on success, 1 on domain errors
 (any ``ValueError``: invalid module, relation violation, input over a size
-limit) with a JSON error document, 2 on usage errors and malformed JSON
-(with a diagnostic on standard error).  When the reader closes standard
-output early the exit code is 1, with no traceback.  Randomized subcommands
-take --seed and produce byte-identical output for identical seeds.
+limit) with a JSON error document, 2 on usage errors and malformed JSON,
+input nested too deeply to parse included (with a one-line diagnostic on
+standard error).  When the reader closes standard output early the exit
+code is 1, with no traceback.  Randomized subcommands take --seed and
+produce byte-identical output for identical seeds.
 """
 
 from __future__ import annotations
@@ -35,8 +36,17 @@ def _read_source(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
+def _parse_json(text: str):
+    """json.loads, with input nested deeper than the parser can go reported
+    as malformed JSON rather than as a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
+
+
 def _load_json(path: str):
-    return json.loads(_read_source(path))
+    return _parse_json(_read_source(path))
 
 
 def _emit(doc) -> None:
@@ -70,7 +80,7 @@ def _framed(path: str) -> FramedPoint:
 
 
 def _int_array(text: str, flag: str) -> list[int]:
-    data = json.loads(text)
+    data = _parse_json(text)
     if not isinstance(data, list):
         raise ValueError(f"{flag} expects a JSON array of integers")
     return [json_int(v, f"{flag} entry") for v in data]
@@ -156,8 +166,8 @@ def _cmd_stable(args) -> int:
 
 
 def _cmd_dim_formula(args) -> int:
-    v = DimensionVector.from_json_dict(json.loads(args.v))
-    w = DimensionVector.from_json_dict(json.loads(args.w))
+    v = DimensionVector.from_json_dict(_parse_json(args.v))
+    w = DimensionVector.from_json_dict(_parse_json(args.w))
     value = moduli.nakajima_dim(v, w)
     _emit({"dimension": value, "empty_advisory": value < 0})
     return 0
@@ -211,10 +221,10 @@ def _cmd_end_algebra(args) -> int:
 def _cmd_apply_word(args) -> int:
     m = _euclidean(_module_arg(args))
     euclid._require_valid(m)
-    word = json.loads(args.word)
+    word = _parse_json(args.word)
     if not isinstance(word, list) or not all(isinstance(w, str) for w in word):
         raise ValueError("--word expects a JSON array of letters")
-    v = euclid.graded_vector(json.loads(args.vector))
+    v = euclid.graded_vector(_parse_json(args.vector))
     result = euclid.apply_word(m, word, v)
     _emit({"result": {str(k): [str(c) for c in coords] for k, coords in sorted(result.items())}})
     return 0

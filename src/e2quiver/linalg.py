@@ -5,12 +5,16 @@ and no tolerance anywhere in this package.  Matrices are small (total
 dimensions of the order of tens), so the elimination routines favour
 exactness and determinism over asymptotics.  One elimination core serves
 rank, pivots, kernels and solving: fraction-free Gaussian elimination on
-primitive integer rows with the first nonzero pivot, then one division per
-pivot row to give the reduced row echelon form over the rationals, from
-which kernels and solutions are read (pivot-normalized kernel bases,
-solutions with free variables zero).  Rank and pivot columns read the
+primitive integer rows with the first nonzero pivot, back-substituted to
+an integer reduced row echelon form.  Kernels and solutions are read off
+it (pivot-normalized kernel bases, solutions with free variables zero),
+each entry built once as a Fraction over its row's pivot entry; no
+rational echelon form is formed.  Rank and pivot columns read the
 pivots off the forward elimination alone: no back-substitution and no
-division.  The incremental ``Echelon``, which tests one vector at a time
+division.  (``preproj`` ranks its small dense integer blocks, the arrow
+maps and the invertibility candidates, by its own Bareiss elimination;
+the public ``rank`` stays on this core, which large sparse systems need.)
+The incremental ``Echelon``, which tests one vector at a time
 for membership in a growing span, reduces with the same primitive rows and
 the same row step.  The sparse entry points take rows of Fractions, of
 Python ints or of both: callers that have already scaled a homogeneous
@@ -233,9 +237,10 @@ class Matrix:
 # followed by division by the row's content, so entries stay small integers
 # and no Fraction is built during elimination.  Entries below each pivot are
 # cleared first (_forward, all that rank needs), those above it afterwards,
-# last pivot first (_reduce).  At the end each reduced row is divided by its
-# pivot once.  The reduced row echelon form is unique, so this gives exactly
-# the RREF that elimination over Fraction gives.
+# last pivot first (_reduce).  Kernels and solutions read each entry they
+# need off the integer reduced rows, divided by the row's pivot entry once
+# (_kernel, _particular).  The reduced row echelon form is unique, so this
+# gives exactly what elimination over Fraction gives.
 
 SparseRow = dict[int, Union[Fraction, int]]
 _IntRow = dict[int, int]
@@ -344,17 +349,6 @@ def _reduce(rows: Iterable[SparseRow], ncols: int) -> tuple[list[_IntRow], list[
     return reduced, pivots
 
 
-def _rref(rows: Iterable[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
-    """Reduced row echelon form over the rationals: the integer form with
-    each row divided by its pivot entry."""
-    reduced, pivots = _reduce(rows, ncols)
-    out = []
-    for row, col in zip(reduced, pivots):
-        p = row[col]
-        out.append({c: Fraction(v, p) for c, v in row.items()})
-    return out, pivots
-
-
 def _augment(rows: list[SparseRow], ncols: int, rhs: Iterable[Sequence[Fraction]]) -> list[SparseRow]:
     """Copies of rows with the right-hand side entries rhs[i][j] placed in
     column ncols + j of row i."""
@@ -366,8 +360,10 @@ def _augment(rows: list[SparseRow], ncols: int, rhs: Iterable[Sequence[Fraction]
     return out
 
 
-def _kernel(reduced: list[SparseRow], pivots: list[int], ncols: int) -> list[Vector]:
-    """Pivot-normalized kernel basis of the first ncols columns of an RREF."""
+def _kernel(reduced: list[_IntRow], pivots: list[int], ncols: int) -> list[Vector]:
+    """Pivot-normalized kernel basis of the first ncols columns of an
+    integer reduced echelon form (_reduce): each entry is built once, as
+    -v / p for the entry v of a row with pivot entry p."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -380,21 +376,22 @@ def _kernel(reduced: list[SparseRow], pivots: list[int], ncols: int) -> list[Vec
                 break
             coeff = row.get(free)
             if coeff is not None:
-                v[p] = -coeff
+                v[p] = Fraction(-coeff, row[p])
         basis.append(tuple(v))
     return basis
 
 
-def _particular(reduced: list[SparseRow], pivots: list[int], ncols: int, nrhs: int) -> list[list[Fraction]] | None:
+def _particular(reduced: list[_IntRow], pivots: list[int], ncols: int, nrhs: int) -> list[list[Fraction]] | None:
     """The solution X (ncols x nrhs, free variables zero) of A X = B read off
-    the RREF of [A | B], or None when a pivot lies in B."""
+    the integer reduced echelon form of [A | B] (_reduce), or None when a
+    pivot lies in B."""
     if pivots and pivots[-1] >= ncols:
         return None
     x = [[_ZERO] * nrhs for _ in range(ncols)]
     for row, p in zip(reduced, pivots):
         for c, v in row.items():
             if c >= ncols:
-                x[p][c - ncols] = v
+                x[p][c - ncols] = Fraction(v, row[p])
     return x
 
 
@@ -439,7 +436,7 @@ def sparse_rank(rows: list[SparseRow], ncols: int) -> int:
 
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[Vector]:
     """Pivot-normalized kernel basis of a sparse homogeneous system."""
-    reduced, pivots = _rref(rows, ncols)
+    reduced, pivots = _reduce(rows, ncols)
     return _kernel(reduced, pivots, ncols)
 
 
@@ -451,7 +448,7 @@ def sparse_affine_solve(
     Returns (particular solution with free variables zero, kernel basis of the
     homogeneous part); the particular solution is None when inconsistent.
     """
-    reduced, pivots = _rref(_augment(rows, ncols, ((v,) for v in rhs)), ncols + 1)
+    reduced, pivots = _reduce(_augment(rows, ncols, ((v,) for v in rhs)), ncols + 1)
     x = _particular(reduced, pivots, ncols, 1)
     return (None if x is None else tuple(r[0] for r in x)), _kernel(reduced, pivots, ncols)
 
@@ -503,7 +500,7 @@ def solve_multi(m: Matrix, rhs: Matrix) -> Matrix | None:
     if rhs.rows != m.rows:
         raise ValueError(f"right-hand side has {rhs.rows} rows, matrix has {m.rows}")
     rows = _augment(_to_sparse_rows(m), m.cols, (rhs.row(i) for i in range(rhs.rows)))
-    reduced, pivots = _rref(rows, m.cols + rhs.cols)
+    reduced, pivots = _reduce(rows, m.cols + rhs.cols)
     x = _particular(reduced, pivots, m.cols, rhs.cols)
     return None if x is None else Matrix.from_rows(x, cols=rhs.cols)
 

@@ -36,8 +36,11 @@ fraction-free back-substitution, and tests its integer blocks by Bareiss
 elimination.  The isomorphism test first compares the ranks of the arrow
 maps, a base-change invariant whose mismatch is a certain False with no
 Hom elimination; it separates sums of thin indecomposables that differ in
-a summand.  Then it looks for a witness: a few draws run before the Hom
-dimensions it compares, ranks of the intertwiner system (hom_dim).
+a summand.  Each rank comes from the same Bareiss elimination, on the
+map's entries scaled to integers, and the comparison stops at the first
+arrow whose ranks differ.  Then it looks for a witness: a few draws run
+before the Hom dimensions it compares, ranks of the intertwiner system
+(hom_dim).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .linalg import (
     frac,
     inverse,
     kernel_basis,
-    rank,
+    rank,  # unused here, but bench/test_bench.py checks that its tracer rewraps preproj.rank
     scale_to_ints,
     sparse_kernel,
     sparse_rank,
@@ -810,8 +813,9 @@ def is_isomorphic(
 
     The steps, in order:
     1. the dimension vectors: False when they differ;
-    2. the arrow ranks (_arrow_ranks): False when they differ, in every
-       mode, before any Hom elimination;
+    2. the arrow ranks (_same_arrow_ranks), one Bareiss pass on each
+       arrow map's integer rows: False at the first arrow whose ranks
+       differ, in every mode, before any Hom elimination;
     3. the forward integer echelon form of the Hom(x, y) intertwiner
        system, from which the search for an invertible element (_attempts)
        back-substitutes each candidate, with no basis: deterministic when
@@ -834,7 +838,7 @@ def is_isomorphic(
         return False
     if x.total_dim == 0:
         return True
-    if _arrow_ranks(x) != _arrow_ranks(y):
+    if not _same_arrow_ranks(x, y):
         return False
     layout = _HomLayout(x, y)
     echelon, pivots = _forward(layout.intertwiner_rows(), layout.size)
@@ -849,11 +853,30 @@ def is_isomorphic(
     return any(attempts)
 
 
-def _arrow_ranks(x: QuiverRep) -> dict[str, int]:
-    """The nonzero ranks of the arrow maps, by arrow name: a base change
-    keeps rank(g_t x_a g_s^-1) = rank(x_a), so isomorphic representations
-    agree on it whatever their windows."""
-    return {name: r for name, m in x.maps.items() if (r := rank(m))}
+# The map of an arrow that is not on a representation's window.
+_NO_MAP = Matrix(0, 0, ())
+
+
+def _same_arrow_ranks(x: QuiverRep, y: QuiverRep) -> bool:
+    """Whether each arrow map of x has the rank of y's map of the same name,
+    an arrow on one window only counting as rank 0: a base change keeps
+    rank(g_t x_a g_s^-1) = rank(x_a), so isomorphic representations agree
+    on it whatever their windows.  Arrow by arrow, up to the first one
+    whose ranks differ."""
+    for name in itertools.chain(x.maps, (name for name in y.maps if name not in x.maps)):
+        if _rank(x.maps.get(name, _NO_MAP)) != _rank(y.maps.get(name, _NO_MAP)):
+            return False
+    return True
+
+
+def _rank(m: Matrix) -> int:
+    """The rank of m: the number of pivots _bareiss finds in its rows
+    scaled to integers by the lcm of the entries' denominators."""
+    if not m.rows or not m.cols:
+        return 0
+    entries, _ = scale_to_ints(m.entries())
+    n = m.cols
+    return sum(_bareiss([entries[i : i + n] for i in range(0, len(entries), n)]))
 
 
 # Draws that is_isomorphic makes before it computes the three Hom ranks.  On
@@ -962,22 +985,35 @@ def _scaled_blocks(g: GradedMap) -> list[list[list[int]]]:
 
 def _invertible(blocks: Iterable[list[list[int]]]) -> bool:
     """Whether every square integer block, a list of its rows (reused), is
-    nonsingular, tested in order up to the first singular one by
-    fraction-free elimination (Bareiss, Math. Comp. 22, 1968): after step i
-    every entry is a minor of order i + 1 of the block with its rows
-    reordered, so the division by the previous pivot is exact, and the block
-    is singular exactly when a step finds no nonzero entry in its column."""
+    nonsingular: _bareiss finds a pivot in each of its columns.  The blocks
+    are tested in order, up to the first singular one, and a block up to
+    its first column with no pivot."""
     for rows in blocks:
-        previous = 1
-        while rows:
-            i = next((i for i, row in enumerate(rows) if row[0]), None)
-            if i is None:
-                return False
-            pivot = rows.pop(i)
-            p = pivot[0]
-            rows = [[(p * a - row[0] * b) // previous for a, b in zip(row[1:], pivot[1:])] for row in rows]
-            previous = p
+        if not all(_bareiss(rows)):
+            return False
     return True
+
+
+def _bareiss(rows: list[list[int]]) -> Iterator[bool]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of integer
+    rows of one length (reused): whether each column in turn has a pivot,
+    up to the last column or the last row, so the rank is the number of
+    pivots.  After each pivot every entry left is a minor of the rows, in a
+    changed order, on the pivot columns so far and its own column, so the
+    division by the previous pivot is exact.  A column with no nonzero
+    entry left has no pivot and is dropped, which keeps that so."""
+    previous = 1
+    while rows and rows[0]:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            rows = [row[1:] for row in rows]
+            yield False
+            continue
+        pivot = rows.pop(i)
+        p = pivot[0]
+        rows = [[(p * a - row[0] * b) // previous for a, b in zip(row[1:], pivot[1:])] for row in rows]
+        previous = p
+        yield True
 
 
 def apply_gv(x: QuiverRep, g: GradedMap) -> QuiverRep:

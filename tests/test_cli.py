@@ -447,6 +447,32 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert "malformed JSON" in err
 
 
+# Nested deeper than the JSON parser can go: it once ended in a
+# RecursionError traceback with exit 1.
+DEEP = "[" * 20000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weight-runs", "--set", DEEP],
+        ["young", "--partition", DEEP],
+        ["dim-formula", "--v", DEEP, "--w", '{"0": 1}'],
+        ["apply-word", "--module", "{hook}", "--word", DEEP, "--vector", '{"0": ["1"]}'],
+        ["apply-word", "--module", "{hook}", "--word", '["P+"]', "--vector", DEEP],
+        ["decompose", "--module", "{deep}"],
+        ["iso", "--module", "{deep}", "--module", "{deep}"],
+    ],
+)
+def test_deeply_nested_json_exits_2(capsys, tmp_path, hook_module_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP, encoding="utf-8")
+    argv = [a.replace("{hook}", hook_module_path).replace("{deep}", str(deep)) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed JSON input: ") and err.count("\n") == 1
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate-thin"])  # missing --window

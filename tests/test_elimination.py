@@ -1,7 +1,8 @@
 """Differential tests of the elimination core in ``e2quiver.linalg``.
 
-``linalg`` eliminates fraction-free on integer rows and divides by each
-pivot once at the end.  The reference here is exact Gaussian elimination
+``linalg`` eliminates fraction-free on integer rows and reads kernels and
+solutions off the integer reduced rows, dividing each entry it needs by
+its row's pivot once.  The reference here is exact Gaussian elimination
 over ``Fraction``, one row operation at a time, with the same pivot policy;
 its read-offs are the ones ``linalg`` used before it had an integer core.
 The reduced row echelon form is unique, so every elimination entry point
@@ -158,7 +159,10 @@ def test_every_entry_point_matches_reference(system):
     rows, ncols, rhs = system
     m = dense(rows, ncols)
     reduced, pivots = oracle_rref(rows, ncols)
-    assert linalg._rref(rows, ncols) == (reduced, pivots)
+    # the integer reduced rows, each divided by its pivot entry, are the RREF
+    integer, integer_pivots = linalg._reduce(rows, ncols)
+    assert integer_pivots == pivots
+    assert [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(integer, pivots)] == reduced
     # rank and pivots from the forward elimination alone
     assert linalg._forward(rows, ncols)[1] == pivots
     assert sparse_rank(rows, ncols) == len(pivots)

@@ -24,10 +24,11 @@ keeps the order ``is_isomorphic`` had before it drew a few witnesses ahead of
 the Hom-dimension fast paths, and before it compared arrow ranks first, on
 the reference search.
 
-The arrow-rank fingerprint (``_arrow_ranks``) is checked last: it is a
-base-change invariant, it settles the benchmark's negatives with no Hom
-elimination, and pairs whose arrow ranks agree still reach the search with
-the reference verdicts.
+The arrow-rank fingerprint is checked last, through its former package
+form ``_arrow_ranks`` (now the oracle in ``arrow_ranks.py``; the package
+compares the ranks arrow by arrow): it is a base-change invariant, it
+settles the benchmark's negatives with no Hom elimination, and pairs whose
+arrow ranks agree still reach the search with the reference verdicts.
 """
 
 import itertools
@@ -53,7 +54,6 @@ from e2quiver.preproj import (
     _GRID_LIMIT,
     _WITNESS_DRAWS,
     GradedMap,
-    _arrow_ranks,
     _attempts,
     _back_substitute,
     _combination,
@@ -69,6 +69,7 @@ from e2quiver.preproj import (
     random_gv,
 )
 from e2quiver.quiver import DimensionVector, Window
+from arrow_ranks import _arrow_ranks
 
 SEEDS = (0, 1, 2, 3)
 TRIALS = (1, 2, 5, 20)
