@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Matrix, frac
+from .linalg import Matrix, frac, shown
 from .preproj import QuiverRep, check_relations, hom_dim
 from .quiver import Arrow, DimensionVector, check_size, json_object, json_weight, json_weight_object, window_of_support
 
@@ -237,7 +237,7 @@ def apply_word(m: EuclideanModule, word: Sequence[str], v: GradedVector) -> Grad
             if k in current:
                 _vec_add(nxt, k, current[k])
         else:
-            raise ValueError(f"unknown letter {letter!r}")
+            raise ValueError(f"unknown letter {shown(letter)}")
         current = _canonical_vector({k: tuple(c) for k, c in nxt.items()})
     return current
 

@@ -4,21 +4,22 @@ Every matrix entry is a ``fractions.Fraction``; there is no floating point
 and no tolerance anywhere in this package.  Matrices are small (total
 dimensions of the order of tens), so the elimination routines favour
 exactness and determinism over asymptotics.  One elimination core serves
-rank, pivots, kernels and solving: fraction-free Gaussian elimination on
-primitive integer rows with the first nonzero pivot, back-substituted to
-an integer reduced row echelon form.  Kernels and solutions are read off
-it (pivot-normalized kernel bases, solutions with free variables zero),
-each entry built once as a Fraction over its row's pivot entry; no
-rational echelon form is formed.  Rank and pivot columns read the
-pivots off the forward elimination alone: no back-substitution and no
-division.  (``preproj`` ranks its small dense integer blocks, the arrow
-maps and the invertibility candidates, by its own Bareiss elimination;
-the public ``rank`` stays on this core, which large sparse systems need.)
-The incremental ``Echelon``, which tests one vector at a time
-for membership in a growing span, reduces with the same primitive rows and
-the same row step.  The sparse entry points take rows of Fractions, of
-Python ints or of both: callers that have already scaled a homogeneous
-system to integers (``scale_to_ints``) hand it over as it is.
+rank, pivots, kernels, solving and spinning: ``Echelon``, fraction-free
+Gaussian elimination on primitive integer rows, which keeps each row that
+is independent of the rows before it.  Rank and pivot columns are read off
+its echelon form alone, with no back-substitution and no division.
+Kernels and solutions are read off the integer reduced row echelon form
+that back-substitution of its rows gives (pivot-normalized kernel bases,
+solutions with free variables zero), each entry built once as a Fraction
+over its row's pivot entry; no rational echelon form is formed.  The
+invertibility search of ``preproj`` back-substitutes one integer vector at
+a time from the echelon form instead (``back_substitute``).  (``preproj``
+ranks its small dense integer blocks, the arrow maps and the
+invertibility candidates, by its own Bareiss elimination; the public
+``rank`` stays on this core, which large sparse systems need.)  The sparse
+entry points take rows of Fractions, of Python ints or of both: callers
+that have already scaled a homogeneous system to integers
+(``scale_to_ints``) hand it over as it is.
 
 Floats are rejected on input so a rounding error can never sneak in.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -41,6 +43,20 @@ _ONE = Fraction(1)
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+# An error message shows at most this many characters of an offending
+# value's repr, so that its size does not grow with the input.
+_SHOWN = 40
+
+
+def shown(value: object) -> str:
+    """value's type and the start of its repr, for an error message: at
+    most _SHOWN characters, the last three "..." when it is cut."""
+    text = repr(value)
+    if len(text) > _SHOWN:
+        text = text[: _SHOWN - 3] + "..."
+    return f"{type(value).__name__} {text}"
+
+
 def frac(value: RationalLike) -> Fraction:
     """Coerce an int (not a bool), a Fraction or a string "-?digits(/digits)?"
     ("3", "-1/2") to Fraction.  Other types raise TypeError; other strings and
@@ -51,12 +67,12 @@ def frac(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
-            raise ValueError(f"not a rational of the form -?digits(/digits)?: {value!r}")
+            raise ValueError(f"not a rational of the form -?digits(/digits)?: {shown(value)}")
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
+            raise ValueError(f"zero denominator in {shown(value)}") from None
+    raise TypeError(f"expected an exact rational, got {shown(value)}")
 
 
 Vector = tuple[Fraction, ...]
@@ -235,12 +251,14 @@ class Matrix:
 # denominators, entries without a common factor).  Clearing an entry f with
 # a pivot p is row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f),
 # followed by division by the row's content, so entries stay small integers
-# and no Fraction is built during elimination.  Entries below each pivot are
-# cleared first (_forward, all that rank needs), those above it afterwards,
-# last pivot first (_reduce).  Kernels and solutions read each entry they
-# need off the integer reduced rows, divided by the row's pivot entry once
-# (_kernel, _particular).  The reduced row echelon form is unique, so this
-# gives exactly what elimination over Fraction gives.
+# and no Fraction is built during elimination.  Echelon clears each new row
+# at its leading column until it vanishes or leads where no kept row does
+# (the forward phase, all that rank needs); _reduce then clears the entries
+# above each pivot, last pivot first.  Kernels and solutions read each entry
+# they need off the integer reduced rows, divided by the row's pivot entry
+# once (_kernel, _particular).  The reduced row echelon form is unique, so
+# this gives exactly what elimination over Fraction gives.  Only this module
+# knows the row format: primitive rows with a positive leading entry.
 
 SparseRow = dict[int, Union[Fraction, int]]
 _IntRow = dict[int, int]
@@ -297,47 +315,55 @@ def _eliminate(row: _IntRow, col: int, piv: _IntRow, p: int) -> _IntRow:
     return row
 
 
-def _forward(rows: Iterable[SparseRow], ncols: int) -> tuple[list[_IntRow], list[int]]:
-    """Integer row echelon form: the forward phase of the elimination.
+class Echelon:
+    """An integer row echelon form grown one row at a time: the forward
+    elimination of every system here, and the membership test of spinning
+    (MeatAxe-style closure under a set of maps).
 
-    Pivot policy: columns left to right, first remaining row with a nonzero
-    entry.  Returns the nonzero echelon rows (one per pivot, in pivot order,
-    each primitive with a positive pivot entry and zeros in the earlier
-    pivot columns) and the pivot columns, which are those of the reduced
-    form.
+    Each kept row is primitive with a positive leading entry and is stored
+    under its leading column.  A new row is reduced by the kept row at its
+    current leading column until it vanishes (it lies in the span) or leads
+    at a column no kept row leads at (it is kept).  Clearing its leading
+    entry leaves only later columns, so each kept row is used at most once.
+    Kept rows never change: rows added in order give the echelon form of
+    elimination column by column with the first remaining row as pivot.
     """
-    work = [_primitive(r) for r in rows if r]
-    echelon: list[_IntRow] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        for idx, row in enumerate(work):
-            if col in row:
-                break
-        else:
-            continue
-        piv = work.pop(idx)
-        p = piv[col]
-        if p < 0:
-            piv = {c: -v for c, v in piv.items()}
-            p = -p
-        # rows before idx have no entry in col
-        rest = []
-        for row in work[idx:]:
-            if col in row:
-                row = _eliminate(row, col, piv, p)
-                if not row:
-                    continue
-            rest.append(row)
-        work[idx:] = rest
-        echelon.append(piv)
-        pivots.append(col)
-    return echelon, pivots
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Iterable[SparseRow] = ()) -> None:
+        self._rows: dict[int, _IntRow] = {}
+        for row in rows:
+            self.add(row)
+
+    def add(self, row: SparseRow) -> bool:
+        """Keep row if it is independent of the rows kept so far; whether it
+        was kept.  The row holds nonzero entries only."""
+        if not row:
+            return False
+        row = _primitive(row)
+        while row:
+            col = min(row)
+            piv = self._rows.get(col)
+            if piv is None:
+                if row[col] < 0:
+                    row = {c: -v for c, v in row.items()}
+                self._rows[col] = row
+                return True
+            row = _eliminate(row, col, piv, piv[col])
+        return False
+
+    def form(self) -> tuple[list[_IntRow], list[int]]:
+        """The kept rows (themselves, not copies) in pivot order, and their
+        pivot columns, ascending."""
+        pivots = sorted(self._rows)
+        return [self._rows[c] for c in pivots], pivots
 
 
-def _reduce(rows: Iterable[SparseRow], ncols: int) -> tuple[list[_IntRow], list[int]]:
-    """Integer reduced row echelon form: the echelon rows of _forward with
+def _reduce(rows: Iterable[SparseRow]) -> tuple[list[_IntRow], list[int]]:
+    """Integer reduced row echelon form: the echelon rows of rows with
     zeros cleared into the later pivot columns as well, and its pivots."""
-    reduced, pivots = _forward(rows, ncols)
+    reduced, pivots = Echelon(rows).form()
     # back-substitution, last pivot first, so that each pivot row used is
     # already zero in the later pivot columns
     for k in range(len(reduced) - 1, 0, -1):
@@ -347,6 +373,24 @@ def _reduce(rows: Iterable[SparseRow], ncols: int) -> tuple[list[_IntRow], list[
             if col in reduced[i]:
                 reduced[i] = _eliminate(reduced[i], col, piv, p)
     return reduced, pivots
+
+
+def back_substitute(echelon: list[_IntRow], pivots: list[int], w: list[int]) -> list[int]:
+    """D v for some integer D > 0, v the solution of the echelon rows (from
+    Echelon.form, or a run of them) that agrees with w off their pivot
+    columns (w is 0 there, and is reused).  Fraction-free, last pivot
+    first: a row with pivot entry p > 0 at column c gives p w_c = -s, s its
+    dot product with w (w_c still 0, no entries left of c); when p does not
+    divide s, w is first scaled by p / gcd(s, p)."""
+    for row, col in zip(reversed(echelon), reversed(pivots)):
+        s = -sum(map(mul, row.values(), map(w.__getitem__, row)))
+        p = row[col]
+        if s % p:
+            m = p // gcd(s, p)
+            w = [a * m for a in w]
+            s *= m
+        w[col] = s // p
+    return w
 
 
 def _augment(rows: list[SparseRow], ncols: int, rhs: Iterable[Sequence[Fraction]]) -> list[SparseRow]:
@@ -395,48 +439,15 @@ def _particular(reduced: list[_IntRow], pivots: list[int], ncols: int, nrhs: int
     return x
 
 
-class Echelon:
-    """A row echelon form grown one row at a time: the membership test of
-    spinning (MeatAxe-style closure under a set of maps).
-
-    Each kept row is primitive with a positive leading entry and is stored
-    under its leading column.  A new row is reduced by the kept row at its
-    current leading column until it vanishes (it lies in the span) or leads
-    at a column no kept row leads at (it is kept).  Clearing its leading
-    entry leaves only later columns, so each kept row is used at most once.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self) -> None:
-        self._rows: dict[int, _IntRow] = {}
-
-    def add(self, row: SparseRow) -> bool:
-        """Keep row if it is independent of the rows kept so far; whether it
-        was kept.  The row holds nonzero entries only."""
-        if not row:
-            return False
-        row = _primitive(row)
-        while row:
-            col = min(row)
-            piv = self._rows.get(col)
-            if piv is None:
-                if row[col] < 0:
-                    row = {c: -v for c, v in row.items()}
-                self._rows[col] = row
-                return True
-            row = _eliminate(row, col, piv, piv[col])
-        return False
-
-
 def sparse_rank(rows: list[SparseRow], ncols: int) -> int:
-    """Rank of a sparse system, from the forward elimination alone."""
-    return len(_forward(rows, ncols)[1])
+    """Rank of a sparse system in ncols unknowns, from the forward
+    elimination alone."""
+    return len(Echelon(rows).form()[1])
 
 
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[Vector]:
     """Pivot-normalized kernel basis of a sparse homogeneous system."""
-    reduced, pivots = _reduce(rows, ncols)
+    reduced, pivots = _reduce(rows)
     return _kernel(reduced, pivots, ncols)
 
 
@@ -448,7 +459,7 @@ def sparse_affine_solve(
     Returns (particular solution with free variables zero, kernel basis of the
     homogeneous part); the particular solution is None when inconsistent.
     """
-    reduced, pivots = _reduce(_augment(rows, ncols, ((v,) for v in rhs)), ncols + 1)
+    reduced, pivots = _reduce(_augment(rows, ncols, ((v,) for v in rhs)))
     x = _particular(reduced, pivots, ncols, 1)
     return (None if x is None else tuple(r[0] for r in x)), _kernel(reduced, pivots, ncols)
 
@@ -461,7 +472,7 @@ def rank(m: Matrix) -> int:
 def pivot_columns(m: Matrix) -> list[int]:
     """Pivot columns of the reduced echelon form, ascending; the forward
     elimination already finds them."""
-    return _forward(_to_sparse_rows(m), m.cols)[1]
+    return Echelon(_to_sparse_rows(m)).form()[1]
 
 
 def column_space_basis(m: Matrix) -> Matrix:
@@ -500,7 +511,7 @@ def solve_multi(m: Matrix, rhs: Matrix) -> Matrix | None:
     if rhs.rows != m.rows:
         raise ValueError(f"right-hand side has {rhs.rows} rows, matrix has {m.rows}")
     rows = _augment(_to_sparse_rows(m), m.cols, (rhs.row(i) for i in range(rhs.rows)))
-    reduced, pivots = _reduce(rows, m.cols + rhs.cols)
+    reduced, pivots = _reduce(rows)
     x = _particular(reduced, pivots, m.cols, rhs.cols)
     return None if x is None else Matrix.from_rows(x, cols=rhs.cols)
 

@@ -29,7 +29,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .euclid import EuclideanModule
 # rank is unused here, but bench/test_bench.py checks that its tracer rewraps moduli.rank
-from .linalg import Echelon, Matrix, SparseRow, Vector, _augment, _forward, frac, rank, scale_to_ints, sparse_affine_solve
+from .linalg import Echelon, Matrix, SparseRow, Vector, _augment, frac, rank, scale_to_ints, sparse_affine_solve
 from .preproj import (
     GradedMap,
     QuiverRep,
@@ -396,7 +396,7 @@ def framed_equivalent(
     if p.rep.total_dim == 0:
         return True
     layout, rows, rhs = _framed_system(p, q)
-    echelon, pivots = _forward(_augment(rows, layout.size, ((v,) for v in rhs)), layout.size + 1)
+    echelon, pivots = Echelon(_augment(rows, layout.size, ((v,) for v in rhs))).form()
     if pivots and pivots[-1] == layout.size:  # a pivot in the right-hand side: inconsistent
         return False
     return any(_attempts(layout, echelon, pivots, affine=True, seed=seed, trials=trials, exhaustive=exhaustive))

@@ -30,17 +30,17 @@ Isomorphism testing and framed equivalence share one search for an
 invertible element of the solutions of a linear system of graded maps:
 deterministic when they form a point or a line and Monte Carlo (seeded,
 one-sided error) otherwise, with an exhaustive grid mode for small
-instances.  No spanning maps are built: the search keeps the forward
-integer echelon form of the system, makes each candidate by one
-fraction-free back-substitution, and tests its integer blocks by Bareiss
-elimination.  The isomorphism test first compares the ranks of the arrow
-maps, a base-change invariant whose mismatch is a certain False with no
-Hom elimination; it separates sums of thin indecomposables that differ in
-a summand.  Each rank comes from the same Bareiss elimination, on the
-map's entries scaled to integers, and the comparison stops at the first
-arrow whose ranks differ.  Then it looks for a witness: a few draws run
-before the Hom dimensions it compares, ranks of the intertwiner system
-(hom_dim).
+instances.  No spanning maps are built: the search keeps the integer
+echelon form of the system (``linalg.Echelon``), makes each candidate by
+one fraction-free back-substitution (``linalg.back_substitute``), and
+tests its integer blocks by Bareiss elimination.  The isomorphism test
+first compares the ranks of the arrow maps, a base-change invariant whose
+mismatch is a certain False with no Hom elimination; it separates sums of
+thin indecomposables that differ in a summand.  Each rank comes from the
+same Bareiss elimination, on the map's entries scaled to integers, and the
+comparison stops at the first arrow whose ranks differ.  Then it looks for
+a witness: a few draws run before the Hom dimensions it compares, ranks of
+the intertwiner system (hom_dim).
 """
 
 from __future__ import annotations
@@ -56,17 +56,18 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
+    Echelon,
     Matrix,
     SparseRow,
     Vector,
-    _forward,
-    _IntRow,
+    back_substitute,
     block_diag,
     frac,
     inverse,
     kernel_basis,
     rank,  # unused here, but bench/test_bench.py checks that its tracer rewraps preproj.rank
     scale_to_ints,
+    shown,
     sparse_kernel,
     sparse_rank,
 )
@@ -192,7 +193,7 @@ class QuiverRep:
                 raise ValueError(f"missing map {arrow.name} between nonzero weight spaces")
         unknown = set(raw) - {arrow.name for arrow in double_arrows(window)}
         if unknown:
-            raise ValueError(f"maps for arrows outside the window: {sorted(unknown)}")
+            raise ValueError(f"maps for arrows outside the window: {shown(sorted(unknown))}")
         return cls(window, dims, maps)
 
 
@@ -297,9 +298,6 @@ class _HomLayout:
             self.offsets[v] = pos
             pos += self.y.dim(v) * self.x.dim(v)
         self.size = pos
-
-    def index(self, vertex: int, r: int, c: int) -> int:
-        return self.offsets[vertex] + r * self.x.dim(vertex) + c
 
     def intertwiner_rows(self) -> list[SparseRow]:
         """Linear system expressing g_target x_a = y_a g_source for all
@@ -816,7 +814,7 @@ def is_isomorphic(
     2. the arrow ranks (_same_arrow_ranks), one Bareiss pass on each
        arrow map's integer rows: False at the first arrow whose ranks
        differ, in every mode, before any Hom elimination;
-    3. the forward integer echelon form of the Hom(x, y) intertwiner
+    3. the integer echelon form (Echelon) of the Hom(x, y) intertwiner
        system, from which the search for an invertible element (_attempts)
        back-substitutes each candidate, with no basis: deterministic when
        dim Hom <= 1, on a grid with `exhaustive`, and otherwise `trials`
@@ -841,7 +839,7 @@ def is_isomorphic(
     if not _same_arrow_ranks(x, y):
         return False
     layout = _HomLayout(x, y)
-    echelon, pivots = _forward(layout.intertwiner_rows(), layout.size)
+    echelon, pivots = Echelon(layout.intertwiner_rows()).form()
     dim = layout.size - len(pivots)
     if dim == 0:
         return False
@@ -893,7 +891,7 @@ _GRID_LIMIT = 10_000
 
 def _attempts(
     layout: _HomLayout,
-    echelon: list[_IntRow],
+    echelon: list[dict[int, int]],
     pivots: list[int],
     *,
     affine: bool = False,
@@ -902,9 +900,10 @@ def _attempts(
     exhaustive: bool,
 ) -> Iterator[bool]:
     """The search for an invertible map among the solutions of a system of
-    graded maps between equal dimension vectors, in forward integer echelon
-    form on layout's coordinates (a consistent affine one has its right-hand
-    side as column layout.size): whether each candidate is invertible.
+    graded maps between equal dimension vectors, given as the rows and
+    pivots of its Echelon.form on layout's coordinates (a consistent affine
+    one has its right-hand side as column layout.size): whether each
+    candidate is invertible.
 
     A candidate is the solution with free coordinates c (pivot-normalized:
     the particular solution plus sum c_i kernel_i), tested as D v for an
@@ -916,17 +915,18 @@ def _attempts(
     witness).  An all-zero c of a homogeneous system is False; a grid of
     more than _GRID_LIMIT points raises ValueError.
 
-    Each candidate is back-substituted one vertex block at a time, last
-    first, and a block is tested once complete (a later rescaling of D v
+    Each candidate is back-substituted (back_substitute) one vertex block
+    at a time, last first, on the echelon rows whose pivots lie in that
+    block, and a block is tested once complete (a later rescaling of D v
     keeps it invertible): the first singular one settles the candidate.
     """
     blocks = [(layout.offsets[v], k) for v in reversed(layout.window.vertices()) if (k := layout.x.dim(v))]
     cuts = [bisect_left(pivots, o) for o, _ in blocks]  # the first pivot row of each block
     stages = [(echelon[lo:hi], pivots[lo:hi], o, k) for (o, k), lo, hi in zip(blocks, cuts, [len(pivots)] + cuts)]
-    for _, w in _solutions(layout, echelon, pivots, affine, seed, trials, exhaustive):
+    for _, w in _solutions(layout, pivots, affine, seed, trials, exhaustive):
         invertible = w is not None
         for rows, cols, o, k in stages if invertible else ():
-            w = _back_substitute(rows, cols, w)
+            w = back_substitute(rows, cols, w)
             if not (w[o] if k == 1 else _invertible([[w[o + r * k : o + r * k + k] for r in range(k)]])):
                 invertible = False
                 break
@@ -934,11 +934,12 @@ def _attempts(
 
 
 def _solutions(
-    layout: _HomLayout, echelon: list[_IntRow], pivots: list[int], affine: bool, seed: int, trials: int, exhaustive: bool
+    layout: _HomLayout, pivots: list[int], affine: bool, seed: int, trials: int, exhaustive: bool
 ) -> Iterator[tuple[Sequence[int], list[int] | None]]:
-    """Each candidate's free coordinates c, with the w that _back_substitute
-    completes to D v (c in the free columns, -1 in the right-hand side
-    column: [A | b] (v, -1) = 0), or None for an all-zero homogeneous c."""
+    """Each candidate's free coordinates c, on the columns with no pivot,
+    with the w that back_substitute completes to D v (c in the free
+    columns, -1 in the right-hand side column: [A | b] (v, -1) = 0), or
+    None for an all-zero homogeneous c."""
     free = sorted(set(range(layout.size)).difference(pivots))
     n, d = len(free), layout.x.total_dim
     if n + affine == 1:
@@ -956,23 +957,6 @@ def _solutions(
         for col, a in zip(free, c):
             w[col] = a
         yield c, (w if affine or any(c) else None)
-
-
-def _back_substitute(echelon: list[_IntRow], pivots: list[int], w: list[int]) -> list[int]:
-    """D v for some integer D > 0, v the solution of the echelon system
-    that agrees with w off the pivot columns (w is 0 there, and is reused).
-    Fraction-free, last pivot first: a row with pivot p at column c gives
-    p w_c = -s, s its dot product with w (w_c still 0, no entries left of
-    c); when p does not divide s, w is first scaled by p / gcd(s, p)."""
-    for row, col in zip(reversed(echelon), reversed(pivots)):
-        s = -sum(map(mul, row.values(), map(w.__getitem__, row)))
-        p = row[col]
-        if s % p:
-            m = p // gcd(s, p)
-            w = [a * m for a in w]
-            s *= m
-        w[col] = s // p
-    return w
 
 
 def _scaled_blocks(g: GradedMap) -> list[list[list[int]]]:

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from .linalg import shown
+
 # The largest window width, number of End unknowns (the sum of d_v^2 over the
 # weights, framing dimensions counted the same way) and number of partition
 # boxes that a JSON input may describe.  It is four times the 512 unknowns of
@@ -39,7 +41,7 @@ def json_object(value: object, what: str) -> Mapping:
 def json_int(value: object, what: str) -> int:
     """value when it is a JSON integer; a bool, float or string raises ValueError."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {shown(value)}")
     return value
 
 
@@ -55,7 +57,7 @@ def json_weight(key: object, what: str) -> int:
     if type(key) is int:
         return key
     if not isinstance(key, str) or not _WEIGHT.fullmatch(key):
-        raise ValueError(f"{what} must be a weight of the form -?digits, got {key!r}")
+        raise ValueError(f"{what} must be a weight of the form -?digits, got {shown(key)}")
     return int(key)
 
 

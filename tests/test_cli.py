@@ -473,6 +473,32 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, hook_module_path, argv):
     assert err.startswith("malformed JSON input: ") and err.count("\n") == 1
 
 
+# 20,000 zeros.  An error document once echoed the whole offending value,
+# so its size grew with the input.
+LONG = [0] * 20000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weight-runs", "--set", json.dumps([LONG])],
+        ["apply-word", "--module", "{hook}", "--word", json.dumps(["Q" * 50000]), "--vector", '{"0": ["1"]}'],
+        ["end-algebra", "--module", "{long}"],
+        ["end-algebra", "--module", "{names}"],
+    ],
+)
+def test_long_offending_values_give_short_errors(capsys, tmp_path, hook_module_path, argv):
+    doc = {"window": [LONG, 1], "dims": {"0": 1, "1": 1}, "maps": {"h0": [["1"]], "hbar0": [["0"]]}}
+    long = write_json(tmp_path / "long.json", doc)
+    doc = dict(doc, window=[0, 1], maps={"h0": [["1"]], "hbar0": [["0"]], "q" * 50000: []})
+    names = write_json(tmp_path / "names.json", doc)
+    argv = [a.replace("{hook}", hook_module_path).replace("{long}", long).replace("{names}", names) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert len(out) < 300
+    assert "..." in json.loads(out)["error"]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate-thin"])  # missing --window

@@ -10,6 +10,7 @@ must give exactly the reference's answer.  ``sympy`` supplies an independent
 check of rank, pivot columns, nullspace and solve.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -160,11 +161,11 @@ def test_every_entry_point_matches_reference(system):
     m = dense(rows, ncols)
     reduced, pivots = oracle_rref(rows, ncols)
     # the integer reduced rows, each divided by its pivot entry, are the RREF
-    integer, integer_pivots = linalg._reduce(rows, ncols)
+    integer, integer_pivots = linalg._reduce(rows)
     assert integer_pivots == pivots
     assert [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(integer, pivots)] == reduced
     # rank and pivots from the forward elimination alone
-    assert linalg._forward(rows, ncols)[1] == pivots
+    assert linalg.Echelon(rows).form()[1] == pivots
     assert sparse_rank(rows, ncols) == len(pivots)
     assert pivot_columns(m) == pivots
     assert rank(m) == len(pivots)
@@ -207,6 +208,44 @@ def test_echelon_keeps_exactly_the_rows_that_raise_the_rank(system):
     assert kept == len(oracle_rref(rows, ncols)[1])
     # a row already in the span, added again, is refused
     assert not any(echelon.add(row) for row in rows)
+
+
+@EXAMPLES
+@given(systems_with_rhs(max_rhs=1), st.integers(0, 2**32))
+def test_back_substitute_solves_the_echelon_system(system, seed):
+    """back_substitute on the Echelon of [A | b] (of A alone when there is
+    no right-hand side) with seeded free coordinates c gives D v, D > 0,
+    with v = c on the free columns and A v = b (A v = 0)."""
+    rows, ncols, rhs = system
+    affine = bool(rhs)
+    augmented = linalg._augment(rows, ncols, ((v,) for v in rhs[0])) if affine else rows
+    echelon, pivots = linalg.Echelon(augmented).form()
+    if pivots and pivots[-1] == ncols:  # a pivot in b: inconsistent
+        assert oracle_solve(rows, ncols, rhs) is None
+        return
+    rng = random.Random(seed)
+    free = [j for j in range(ncols) if j not in pivots]
+    c = [rng.randint(-5, 5) for _ in free]
+    w = [0] * ncols + [-1] * affine
+    for j, a in zip(free, c):
+        w[j] = a
+    dv = linalg.back_substitute(echelon, pivots, w)
+    assert all(type(a) is int for a in dv)
+    if affine:
+        d = -dv[ncols]
+    elif any(c):
+        j, a = next((j, a) for j, a in zip(free, c) if a)
+        d, r = divmod(dv[j], a)
+        assert r == 0
+    else:
+        assert not any(dv)
+        return
+    assert d > 0
+    assert [dv[j] for j in free] == [d * a for a in c]
+    v = [Fraction(a, d) for a in dv[:ncols]]
+    for row in augmented:
+        value = sum((a * v[j] for j, a in row.items() if j < ncols), _ZERO)
+        assert value == row.get(ncols, _ZERO)
 
 
 def test_inverse_rejects_non_square():

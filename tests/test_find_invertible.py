@@ -11,10 +11,10 @@ with ``_combination`` and test it with ``_gm_invertible``, the per-vertex
 rank check that the search used before it formed its candidates in
 integers.
 
-The search under test builds no basis: it keeps the forward integer
-echelon form of its system and back-substitutes each candidate from it
-(``_solutions`` and ``_back_substitute``).  The references still span the
-space with ``hom_basis`` or ``framed_equivalence_space``, and each
+The search under test builds no basis: it keeps the integer echelon form
+of its system (``linalg.Echelon``) and back-substitutes each candidate from
+it (``_solutions`` and ``linalg.back_substitute``).  The references still
+span the space with ``hom_basis`` or ``framed_equivalence_space``, and each
 back-substituted candidate is checked to be the reference's combination of
 the same coefficients, up to a nonzero scale.
 
@@ -39,7 +39,7 @@ import pytest
 
 from e2quiver import preproj
 from e2quiver.euclid import to_quiver
-from e2quiver.linalg import Matrix, _augment, _forward, rank
+from e2quiver.linalg import Echelon, Matrix, _augment, back_substitute, rank
 from e2quiver.moduli import (
     FramedPoint,
     Partition,
@@ -55,7 +55,6 @@ from e2quiver.preproj import (
     _WITNESS_DRAWS,
     GradedMap,
     _attempts,
-    _back_substitute,
     _combination,
     _HomLayout,
     _invertible,
@@ -78,16 +77,16 @@ SMALL_GRID = 700
 
 def _hom_echelon(x, y):
     """The search's system for is_isomorphic: the intertwiner system of
-    Hom(x, y) in forward echelon form, as (layout, echelon, pivots)."""
+    Hom(x, y) in echelon form, as (layout, echelon, pivots)."""
     layout = _HomLayout(x, y)
-    return (layout, *_forward(layout.intertwiner_rows(), layout.size))
+    return (layout, *Echelon(layout.intertwiner_rows()).form())
 
 
 def _framed_echelon(p, q):
     """The search's system for framed_equivalent: the combined system with
-    its right-hand side as column layout.size, in forward echelon form."""
+    its right-hand side as column layout.size, in echelon form."""
     layout, rows, rhs = _framed_system(p, q)
-    return (layout, *_forward(_augment(rows, layout.size, ((v,) for v in rhs)), layout.size + 1))
+    return (layout, *Echelon(_augment(rows, layout.size, ((v,) for v in rhs))).form())
 
 
 def _gm_invertible(g: GradedMap) -> bool:
@@ -335,14 +334,14 @@ def test_back_substituted_candidates_are_the_basis_combinations():
         if (d + 1) ** n <= SMALL_GRID:
             modes.append((0, 0, True))
         for seed, trials, exhaustive in modes:
-            candidates = _solutions(layout, echelon, pivots, affine, seed, trials, exhaustive)
+            candidates = _solutions(layout, pivots, affine, seed, trials, exhaustive)
             # the first points of a grid are enough to meet every shape
             for coeffs, w in itertools.islice(candidates, 12):
                 assert len(coeffs) == n
                 if w is None:
                     assert not affine and not any(coeffs)
                     continue
-                w = _back_substitute(echelon, pivots, w)
+                w = back_substitute(echelon, pivots, w)
                 combination = _combination(kernel, coeffs) if kernel else None
                 if affine:
                     combination = particular if combination is None else _gm_add(particular, combination)
@@ -534,9 +533,9 @@ def test_exhaustive_fast_paths_still_come_before_the_grid_check():
 
 def _count_hom_calls(monkeypatch):
     """Counts of the Hom eliminations is_isomorphic makes from here on: Hom
-    bases, Hom ranks, and forward eliminations of the Hom(x, y) system for
-    the search (preproj's _forward)."""
-    calls = {"hom_basis": 0, "hom_dim": 0, "_forward": 0}
+    bases, Hom ranks, and echelon forms of the Hom(x, y) system for the
+    search (the Echelon objects that preproj builds)."""
+    calls = {"hom_basis": 0, "hom_dim": 0, "Echelon": 0}
     for name in calls:
         original = getattr(preproj, name)
 
@@ -599,7 +598,7 @@ def test_arrow_ranks_make_benchmark_negatives_certain(monkeypatch):
             assert is_isomorphic(x, y, seed=seed, trials=20) is False
         # decided before the grid, whatever its size
         assert is_isomorphic(x, y, exhaustive=True) is False
-    assert calls == {"hom_basis": 0, "hom_dim": 0, "_forward": 0}
+    assert calls == {"hom_basis": 0, "hom_dim": 0, "Echelon": 0}
 
 
 def equal_rank_negatives():
@@ -636,13 +635,13 @@ def test_equal_arrow_ranks_still_reach_the_search(monkeypatch):
     for same, x, y in pairs:
         assert _arrow_ranks(x) == _arrow_ranks(y)
         reference = reference_is_isomorphic(x, y)
-        before = calls["_forward"]
+        before = calls["Echelon"]
         for seed in SEEDS:
             for trials in (0, 1, 3, 20):
                 mode = {"seed": seed, "trials": trials, "exhaustive": False}
                 assert is_isomorphic(x, y, **mode) is reference(**mode) is False, (same, mode)
         mode = {"seed": 0, "trials": 20, "exhaustive": True}
         assert is_isomorphic(x, y, **mode) is reference(**mode) is False, same
-        # one forward elimination of Hom(x, y) per call, and no Hom basis
-        assert calls["_forward"] == before + 4 * 4 + 1
+        # one echelon form of Hom(x, y) per call, and no Hom basis
+        assert calls["Echelon"] == before + 4 * 4 + 1
         assert calls["hom_basis"] == 0

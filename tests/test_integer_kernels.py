@@ -100,6 +100,11 @@ def oracle_minimal_polynomial(m):
     return _poly_trim(list(kernel_basis(stacked)[0]))
 
 
+def coordinate(layout, vertex, r, c):
+    """The position of g_vertex[r, c] in layout's coordinate vector."""
+    return layout.offsets[vertex] + r * layout.x.dim(vertex) + c
+
+
 def oracle_intertwiner_rows(layout):
     """The Fraction rows of g_target x_a = y_a g_source, one per entry."""
     rows = []
@@ -113,12 +118,12 @@ def oracle_intertwiner_rows(layout):
                 for k in range(layout.x.dim(tgt)):
                     v = xa[k, c]
                     if v != 0:
-                        idx = layout.index(tgt, r, k)
+                        idx = coordinate(layout, tgt, r, k)
                         row[idx] = row.get(idx, ZERO) + v
                 for k in range(layout.y.dim(src)):
                     v = ya[r, k]
                     if v != 0:
-                        idx = layout.index(src, k, c)
+                        idx = coordinate(layout, src, k, c)
                         row[idx] = row.get(idx, ZERO) - v
                 row = {i: v for i, v in row.items() if v != 0}
                 if row:
@@ -216,7 +221,7 @@ def oracle_framed_space(p, q):
         s, s2 = p.framing_map(k), q.framing_map(k)
         for r in range(layout.y.dim(k)):
             for c in range(p.framing_dims[k]):
-                row = {layout.index(k, r, j): s[j, c] for j in range(layout.x.dim(k)) if s[j, c] != 0}
+                row = {coordinate(layout, k, r, j): s[j, c] for j in range(layout.x.dim(k)) if s[j, c] != 0}
                 if row or s2[r, c] != 0:
                     rows.append(row)
                     rhs.append(s2[r, c])
