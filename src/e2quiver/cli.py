@@ -45,38 +45,17 @@ def _parse_json(text: str):
         raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
 
 
-def _load_json(path: str):
-    return _parse_json(_read_source(path))
-
-
 def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _module_arg(args: argparse.Namespace) -> str:
-    paths = args.module
-    if len(paths) != 1:
-        raise ValueError("this command takes exactly one --module")
-    return paths[0]
-
-
-def _module_pair(args: argparse.Namespace) -> tuple[str, str]:
-    paths = args.module
-    if len(paths) != 2:
-        raise ValueError("this command takes --module twice (two inputs)")
-    return paths[0], paths[1]
-
-
-def _euclidean(path: str) -> EuclideanModule:
-    return EuclideanModule.from_json_dict(_load_json(path))
-
-
-def _quiver_rep(path: str) -> QuiverRep:
-    return QuiverRep.from_json_dict(_load_json(path))
-
-
-def _framed(path: str) -> FramedPoint:
-    return FramedPoint.from_json_dict(_load_json(path))
+def _load(kind, args: argparse.Namespace, count: int = 1):
+    """The --module input of a command read as kind (a class with
+    from_json_dict), or the list of both inputs when count is 2."""
+    if len(args.module) != count:
+        raise ValueError("this command takes " + ("exactly one --module" if count == 1 else "--module twice (two inputs)"))
+    loaded = [kind.from_json_dict(_parse_json(_read_source(path))) for path in args.module]
+    return loaded[0] if count == 1 else loaded
 
 
 def _int_array(text: str, flag: str) -> list[int]:
@@ -95,151 +74,102 @@ def _partition(args: argparse.Namespace) -> Partition:
 # --- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
-    m = _euclidean(_module_arg(args))
-    violations = euclid.validate(m)
-    _emit({"valid": not violations, "violations": violations})
-    return 0 if not violations else 1
+def _cmd_verify(args):
+    violations = euclid.validate(_load(EuclideanModule, args))
+    return {"valid": not violations, "violations": violations}, 1 if violations else 0
 
 
-def _cmd_to_quiver(args) -> int:
-    m = _euclidean(_module_arg(args))
-    rep = euclid.to_quiver(m)
-    _emit(rep.to_json_dict())
-    return 0
+def _cmd_to_quiver(args):
+    return euclid.to_quiver(_load(EuclideanModule, args)).to_json_dict()
 
 
-def _cmd_from_quiver(args) -> int:
-    rep = _quiver_rep(_module_arg(args))
-    m = euclid.from_quiver(rep)
-    _emit(m.to_json_dict())
-    return 0
+def _cmd_from_quiver(args):
+    return euclid.from_quiver(_load(QuiverRep, args)).to_json_dict()
 
 
-def _cmd_shift(args) -> int:
-    m = _euclidean(_module_arg(args))
+def _cmd_shift(args):
+    m = _load(EuclideanModule, args)
     euclid._require_valid(m)
-    _emit(euclid.char_shift(m, args.weight).to_json_dict())
-    return 0
+    return euclid.char_shift(m, args.weight).to_json_dict()
 
 
-def _cmd_young(args) -> int:
-    p = _partition(args)
-    gs = moduli.young_module(p, args.weight)
-    doc = {
+def _cmd_young(args):
+    gs = moduli.young_module(_partition(args), args.weight)
+    return {
         "module": gs.module.to_json_dict(),
         "dims": gs.module.dims.to_json_dict(),
         "generators": [
             {"weight": k, "vector": [str(c) for c in coords]} for k, coords in gs.generators
         ],
     }
-    _emit(doc)
-    return 0
 
 
-def _cmd_residue_dims(args) -> int:
-    p = _partition(args)
-    _emit({"dims": moduli.residue_dim_vector(p, args.weight).to_json_dict()})
-    return 0
+def _cmd_residue_dims(args):
+    return {"dims": moduli.residue_dim_vector(_partition(args), args.weight).to_json_dict()}
 
 
-def _cmd_enumerate_thin(args) -> int:
+def _cmd_enumerate_thin(args):
     window = Window(*args.window)
-    docs = []
-    for rep in moduli.enumerate_thin_indecomposables(window):
-        doc = rep.to_json_dict()
-        doc["indecomposable"] = True
-        docs.append(doc)
+    docs = [dict(rep.to_json_dict(), indecomposable=True) for rep in moduli.enumerate_thin_indecomposables(window)]
     if args.include_decomposables:
-        for rep in moduli.enumerate_thin_decomposables(window):
-            doc = rep.to_json_dict()
-            doc["indecomposable"] = False
-            docs.append(doc)
-    _emit(docs)
-    return 0
+        docs += [dict(rep.to_json_dict(), indecomposable=False) for rep in moduli.enumerate_thin_decomposables(window)]
+    return docs
 
 
-def _cmd_stable(args) -> int:
-    point = _framed(_module_arg(args))
-    _emit({"stable": moduli.is_stable(point)})
-    return 0
+def _cmd_stable(args):
+    return {"stable": moduli.is_stable(_load(FramedPoint, args))}
 
 
-def _cmd_dim_formula(args) -> int:
+def _cmd_dim_formula(args):
     v = DimensionVector.from_json_dict(_parse_json(args.v))
     w = DimensionVector.from_json_dict(_parse_json(args.w))
     value = moduli.nakajima_dim(v, w)
-    _emit({"dimension": value, "empty_advisory": value < 0})
-    return 0
+    return {"dimension": value, "empty_advisory": value < 0}
 
 
-def _cmd_iso(args) -> int:
-    first, second = _module_pair(args)
-    x = _quiver_rep(first)
-    y = _quiver_rep(second)
-    result = preproj.is_isomorphic(x, y, seed=args.seed, exhaustive=args.exhaustive)
-    _emit({"isomorphic": result})
-    return 0
+def _cmd_iso(args):
+    x, y = _load(QuiverRep, args, count=2)
+    return {"isomorphic": preproj.is_isomorphic(x, y, seed=args.seed, exhaustive=args.exhaustive)}
 
 
-def _cmd_framed_iso(args) -> int:
-    first, second = _module_pair(args)
-    p = _framed(first)
-    q = _framed(second)
-    result = moduli.framed_equivalent(p, q, seed=args.seed, exhaustive=args.exhaustive)
-    _emit({"equivalent": result})
-    return 0
+def _cmd_framed_iso(args):
+    p, q = _load(FramedPoint, args, count=2)
+    return {"equivalent": moduli.framed_equivalent(p, q, seed=args.seed, exhaustive=args.exhaustive)}
 
 
-def _cmd_decompose(args) -> int:
-    x = _quiver_rep(_module_arg(args))
-    docs = []
-    complete = True
-    for part, verdict in preproj._decompose(x):
-        if verdict != preproj.INDECOMPOSABLE:
-            complete = False
-        doc = part.to_json_dict()
-        doc["verdict"] = verdict
-        docs.append(doc)
-    _emit({"summands": docs, "count": len(docs), "complete": complete})
-    return 0
+def _cmd_decompose(args):
+    docs = [dict(part.to_json_dict(), verdict=verdict) for part, verdict in preproj._decompose(_load(QuiverRep, args))]
+    complete = all(doc["verdict"] == preproj.INDECOMPOSABLE for doc in docs)
+    return {"summands": docs, "count": len(docs), "complete": complete}
 
 
-def _cmd_end_algebra(args) -> int:
-    x = _quiver_rep(_module_arg(args))
-    end = preproj.end_algebra(x)
-    _emit(
-        {
-            "dim": end.dim,
-            "radical_dim": end.radical_dim,
-            "semisimple_quotient_dim": end.semisimple_quotient_dim,
-        }
-    )
-    return 0
+def _cmd_end_algebra(args):
+    end = preproj.end_algebra(_load(QuiverRep, args))
+    return {
+        "dim": end.dim,
+        "radical_dim": end.radical_dim,
+        "semisimple_quotient_dim": end.semisimple_quotient_dim,
+    }
 
 
-def _cmd_apply_word(args) -> int:
-    m = _euclidean(_module_arg(args))
+def _cmd_apply_word(args):
+    m = _load(EuclideanModule, args)
     euclid._require_valid(m)
     word = _parse_json(args.word)
     if not isinstance(word, list) or not all(isinstance(w, str) for w in word):
         raise ValueError("--word expects a JSON array of letters")
     v = euclid.graded_vector(_parse_json(args.vector))
     result = euclid.apply_word(m, word, v)
-    _emit({"result": {str(k): [str(c) for c in coords] for k, coords in sorted(result.items())}})
-    return 0
+    return {"result": {str(k): [str(c) for c in coords] for k, coords in sorted(result.items())}}
 
 
-def _cmd_weight_runs(args) -> int:
+def _cmd_weight_runs(args):
     report = euclid.weight_runs(_int_array(args.set, "--set"))
-    _emit(
-        {
-            "runs": [[s, e] for s, e in report.runs],
-            "max_run_length": report.max_run_length,
-            "finite_type_guarantee": report.finite_type_guarantee,
-        }
-    )
-    return 0
+    return {
+        "runs": [[s, e] for s, e in report.runs],
+        "max_run_length": report.max_run_length,
+        "finite_type_guarantee": report.finite_type_guarantee,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,16 +285,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    """Run the subcommand and print its document: the handler returns the
+    document, or (document, exit code) when the code can be nonzero."""
     try:
-        return args.func(args)
+        result = args.func(args)
     except json.JSONDecodeError as exc:
         print(f"malformed JSON input: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # a well-formed input that describes an invalid object, or one over
         # a documented size limit
-        _emit({"error": str(exc)})
-        return 1
+        result = {"error": str(exc)}, 1
+    doc, code = result if isinstance(result, tuple) else (result, 0)
+    _emit(doc)
+    return code
 
 
 def console_main() -> None:

@@ -124,8 +124,8 @@ def validate(m: EuclideanModule) -> list[str]:
 
 
 def _checked_image(m: EuclideanModule) -> tuple[list[str], QuiverRep | None]:
-    """validate's violations, with the quiver image that the relation check
-    was run on, or None when m is zero or a map has the wrong shape."""
+    """validate's violations, with the dictionary image that the relation
+    check was run on, or None when m is zero or a map has the wrong shape."""
     violations = []
     for name, maps, step in (("p_plus", m.p_plus, 1), ("p_minus", m.p_minus, -1)):
         for k, mat in sorted(maps.items()):
@@ -134,7 +134,12 @@ def _checked_image(m: EuclideanModule) -> tuple[list[str], QuiverRep | None]:
                 violations.append(f"{name} at weight {k} has shape {mat.shape}, expected {expected}")
     if violations or m.dims.is_zero():
         return violations, None
-    image = _quiver_image(m)
+    window = window_of_support(m.dims)
+    maps = {}
+    for i in window.arrow_indices():
+        maps[Arrow(i).name] = m.plus(i)
+        maps[Arrow(i, reverse=True).name] = m.minus(i + 1)
+    image = QuiverRep(window, m.dims, maps)
     return [f"commutator violation at weight {k}" for k in check_relations(image)], image
 
 
@@ -158,16 +163,6 @@ def _require_valid(m: EuclideanModule) -> QuiverRep | None:
     if problems:
         raise ValueError("invalid module: " + "; ".join(problems))
     return image
-
-
-def _quiver_image(m: EuclideanModule) -> QuiverRep:
-    """The dictionary image of a nonzero module whose maps have the right shapes."""
-    window = window_of_support(m.dims)
-    maps = {}
-    for i in window.arrow_indices():
-        maps[Arrow(i).name] = m.plus(i)
-        maps[Arrow(i, reverse=True).name] = m.minus(i + 1)
-    return QuiverRep(window, m.dims, maps)
 
 
 def from_quiver(x: QuiverRep) -> EuclideanModule:
@@ -217,36 +212,22 @@ def apply_word(m: EuclideanModule, word: Sequence[str], v: GradedVector) -> Grad
                 f"component at weight {k} has length {len(coords)}, expected {m.dims[k]}"
             )
     current = _canonical_vector({k: tuple(coords) for k, coords in v.items()})
+    # each letter sends distinct weights to distinct weights, so the image of
+    # every component lands on a weight of its own
     for letter in reversed(list(word)):
-        nxt: dict[int, list[Fraction]] = {}
         if letter == LETTER_PLUS:
-            for k, coords in current.items():
-                image = m.plus(k).apply(coords)
-                if any(c != 0 for c in image):
-                    _vec_add(nxt, k + 1, image)
+            image = {k + 1: m.plus(k).apply(coords) for k, coords in current.items()}
         elif letter == LETTER_MINUS:
-            for k, coords in current.items():
-                image = m.minus(k).apply(coords)
-                if any(c != 0 for c in image):
-                    _vec_add(nxt, k - 1, image)
+            image = {k - 1: m.minus(k).apply(coords) for k, coords in current.items()}
         elif letter == LETTER_L:
-            for k, coords in current.items():
-                _vec_add(nxt, k, tuple(frac(k) * c for c in coords))
+            image = {k: tuple(frac(k) * c for c in coords) for k, coords in current.items()}
         elif letter.startswith("Proj:"):
             k = json_weight(letter[5:], "weight of a Proj letter")
-            if k in current:
-                _vec_add(nxt, k, current[k])
+            image = {k: current[k]} if k in current else {}
         else:
             raise ValueError(f"unknown letter {shown(letter)}")
-        current = _canonical_vector({k: tuple(c) for k, c in nxt.items()})
+        current = _canonical_vector(image)
     return current
-
-
-def _vec_add(acc: dict[int, list[Fraction]], k: int, coords: Sequence[Fraction]) -> None:
-    if k in acc:
-        acc[k] = [a + b for a, b in zip(acc[k], coords)]
-    else:
-        acc[k] = list(coords)
 
 
 def basis_vectors(m: EuclideanModule) -> Iterator[tuple[int, int, GradedVector]]:

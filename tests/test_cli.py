@@ -188,6 +188,47 @@ def test_iso_requires_two_modules(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+# Each file-reading subcommand with its input kind and its other flags; a
+# wrong number of valid inputs is refused before any of them is read.
+MODULE_COMMANDS = {
+    "verify": ("module", []),
+    "to-quiver": ("module", []),
+    "from-quiver": ("rep", []),
+    "shift": ("module", ["--weight", "1"]),
+    "stable": ("framed", []),
+    "decompose": ("rep", []),
+    "end-algebra": ("rep", []),
+    "apply-word": ("module", ["--word", '["P+"]', "--vector", '{"0": ["1"]}']),
+    "iso": ("rep", []),
+    "framed-iso": ("framed", []),
+}
+PAIR_COMMANDS = {"iso", "framed-iso"}
+
+
+@pytest.mark.parametrize(
+    "command, count",
+    [(c, 2) for c in MODULE_COMMANDS if c not in PAIR_COMMANDS] + [(c, n) for c in sorted(PAIR_COMMANDS) for n in (1, 3)],
+)
+def test_wrong_module_count_exits_1(capsys, tmp_path, command, count):
+    gs = young_module(Partition.of(2, 1), 0)
+    files = {
+        "module": write_json(tmp_path / "module.json", gs.module.to_json_dict()),
+        "rep": write_json(tmp_path / "rep.json", to_quiver(gs.module).to_json_dict()),
+        "framed": write_json(tmp_path / "framed.json", framed_point(gs).to_json_dict()),
+    }
+    kind, flags = MODULE_COMMANDS[command]
+    pair = command in PAIR_COMMANDS
+    # the right count of the same files succeeds
+    assert run_cli(capsys, command, *["--module", files[kind]] * (2 if pair else 1), *flags)[0] == 0
+    code, out, err = run_cli(capsys, command, *["--module", files[kind]] * count, *flags)
+    if pair:
+        expected = "this command takes --module twice (two inputs)"
+    else:
+        expected = "this command takes exactly one --module"
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": expected}
+
+
 @pytest.mark.parametrize(
     "dims, h0, hbar0",
     [

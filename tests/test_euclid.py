@@ -21,6 +21,7 @@ from e2quiver.moduli import Partition, young_module
 from e2quiver.preproj import QuiverRep, direct_sum, hom_basis, split
 from e2quiver.quiver import DimensionVector, Window
 from hom_oracles import module_side_hom_dimension
+from word_oracle import accumulating_apply_word
 
 ONE = Matrix.from_rows([[1]])
 
@@ -275,6 +276,28 @@ def test_commuting_composites_word_identity(random_thin_corpus):
                 left = apply_word(m, ["P+", "P-", proj(k)], v)
                 right = apply_word(m, ["P-", "P+", proj(k)], v)
                 assert left == right
+
+
+def random_word(m: EuclideanModule, rng: random.Random) -> list[str]:
+    """Up to six letters, the projections onto the support and one weight
+    past either end."""
+    support = m.dims.support()
+    letters = ["P+", "P-", "L"] + [proj(k) for k in range(support[0] - 1, support[-1] + 2)]
+    return [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+
+
+def test_apply_word_matches_the_accumulating_oracle(thin16, young_corpus):
+    rng = random.Random(1919)
+    modules = [from_quiver(rep) for rep in thin16] + [gs.module for _, gs in young_corpus]
+    for m in modules:
+        spread = {
+            k: tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)) for k, n in m.dims.items()
+        }
+        vectors = [v for _, _, v in basis_vectors(m)] + [spread]
+        for _ in range(16):
+            word = random_word(m, rng)
+            for v in vectors:
+                assert apply_word(m, word, v) == accumulating_apply_word(m, word, v), (m, word, v)
 
 
 # --- weight runs --------------------------------------------------------------------
