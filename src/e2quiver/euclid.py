@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, frac, shown
 from .preproj import QuiverRep, check_relations, hom_dim
-from .quiver import Arrow, DimensionVector, check_size, json_object, json_weight, json_weight_object, window_of_support
+from .quiver import Arrow, DimensionVector, check_size, json_fields, json_weight, json_weight_object, window_of_support
 
 _ZERO = Fraction(0)
 
@@ -101,7 +101,7 @@ class EuclideanModule:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "EuclideanModule":
-        data = json_object(data, "module")
+        data = json_fields(data, "module", ("dims", "p_plus", "p_minus"))
         dims = DimensionVector.from_json_dict(data.get("dims", {}))
         support = dims.support()
         if support:

@@ -38,7 +38,7 @@ from .preproj import (
     apply_gv,
     check_relations,
 )
-from .quiver import Arrow, DimensionVector, Window, check_size, double_arrows, json_weight_object
+from .quiver import Arrow, DimensionVector, Window, check_size, double_arrows, json_fields, json_weight_object
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -241,7 +241,8 @@ class FramedPoint:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "FramedPoint":
-        rep = QuiverRep.from_json_dict(data)
+        data = json_fields(data, "framed point", QuiverRep.JSON_KEYS + ("framing_dims", "framing"))
+        rep = QuiverRep.from_json_dict({k: v for k, v in data.items() if k in QuiverRep.JSON_KEYS})
         framing_dims = DimensionVector.from_json_dict(data.get("framing_dims", {}))
         unknowns = sum(d * d for v in (rep.dims, framing_dims) for _, d in v.items())
         check_size("sum of squared dimensions", unknowns)

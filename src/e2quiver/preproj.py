@@ -8,12 +8,12 @@ whether the Gelfand-Ponomarev relations hold, nilpotency, intertwiner
 indecomposability, direct sums, splitting into summands, and isomorphism
 testing under the base-change group.
 
-The radical of End(M) is the kernel of the trace form (a, b) -> Tr_M(ab)
-on M itself, read off the Hom basis with no structure constants.  Splitting
-has one mechanism: the primary decomposition of M under one endomorphism
-(the End basis in order, then seeded combinations), whose components
-ker f_i(phi) for the coprime factors f_i of its minimal polynomial are
-submodules with direct sum M.  The f_i come from Yun's square-free blocks
+The radical of End(M) is the kernel of the trace form (a, b) -> Tr_M(ab) on M
+itself, read off End's kernel coordinates with no graded map and no structure
+constants.  Splitting has one mechanism: the primary decomposition of M under
+one endomorphism (the End basis in order, then seeded combinations), whose
+components ker f_i(phi) for the coprime factors f_i of its minimal polynomial
+are submodules with direct sum M.  The f_i come from Yun's square-free blocks
 and their integer roots, found p-adically with no size cap.
 
 Results are exact rationals, but the inner loops run on Python ints: each
@@ -48,9 +48,9 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, isqrt
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -77,6 +77,7 @@ from .quiver import (
     Window,
     check_size,
     double_arrows,
+    json_fields,
     json_int,
     json_object,
     window_of_support,
@@ -99,6 +100,10 @@ class QuiverRep:
     """
 
     __slots__ = ("window", "dims", "maps")
+
+    # The keys from_json_dict reads, with the annotations the CLI adds to the
+    # documents it emits (enumerate-thin, decompose), so that they read back.
+    JSON_KEYS = ("window", "dims", "maps", "indecomposable", "verdict")
 
     def __init__(
         self,
@@ -175,7 +180,7 @@ class QuiverRep:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "QuiverRep":
-        data = json_object(data, "representation")
+        data = json_fields(data, "representation", cls.JSON_KEYS)
         bounds = data.get("window")
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise ValueError("window must be an array [a, b] of two integers")
@@ -231,21 +236,14 @@ def total_matrix(x: QuiverRep) -> Matrix:
     """The endomorphism of the direct sum of all weight spaces whose blocks
     are the arrow matrices (weights ordered ascending)."""
     verts = list(x.window.vertices())
-    offsets = {}
-    pos = 0
-    for v in verts:
-        offsets[v] = pos
-        pos += x.dim(v)
-    total = pos
+    offsets = dict(zip(verts, itertools.accumulate((x.dim(v) for v in verts), initial=0)))
+    total = x.total_dim
     entries = [[_ZERO] * total for _ in range(total)]
+    # no two arrows share a (target, source) pair, so each block is written once
     for arrow in double_arrows(x.window):
-        m = x.map(arrow)
-        r0, c0 = offsets[arrow.target], offsets[arrow.source]
+        m, r0, c0 = x.map(arrow), offsets[arrow.target], offsets[arrow.source]
         for i in range(m.rows):
-            row = m.row(i)
-            for j in range(m.cols):
-                if row[j] != 0:
-                    entries[r0 + i][c0 + j] += row[j]
+            entries[r0 + i][c0 : c0 + m.cols] = m.row(i)
     return Matrix.from_rows(entries, cols=total)
 
 
@@ -273,15 +271,22 @@ def is_nilpotent(x: QuiverRep) -> bool:
 
 @dataclass
 class HomSpace:
-    """A basis of the graded intertwiners from source to target."""
+    """A basis of the graded intertwiners from source to target: the kernel
+    vectors (coords) of their system on layout's coordinates, and the same
+    maps as graded maps (basis), built on first read."""
 
     source: QuiverRep
     target: QuiverRep
-    basis: list[GradedMap]
+    layout: _HomLayout = field(compare=False, repr=False)
+    coords: list[Vector]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.coords)
+
+    @cached_property
+    def basis(self) -> list[GradedMap]:
+        return [self.layout.unvec(v) for v in self.coords]
 
 
 class _HomLayout:
@@ -328,20 +333,15 @@ class _HomLayout:
         return rows
 
     def unvec(self, coords: Sequence[Fraction]) -> GradedMap:
-        g: GradedMap = {}
-        for v in self.window.vertices():
-            nr, nc = self.y.dim(v), self.x.dim(v)
-            base = self.offsets[v]
-            g[v] = Matrix(nr, nc, (coords[base + r * nc + c] for r in range(nr) for c in range(nc)))
-        return g
+        rows, cols = self.y.dim, self.x.dim
+        return {v: Matrix(rows(v), cols(v), coords[o : o + rows(v) * cols(v)]) for v, o in self.offsets.items()}
 
 
 def hom_basis(x: QuiverRep, y: QuiverRep) -> HomSpace:
     """Basis of all graded maps g with g_target x_a = y_a g_source for every
     double-quiver arrow, computed as the kernel of the stacked linear system."""
     layout = _HomLayout(x, y)
-    kernel = sparse_kernel(layout.intertwiner_rows(), layout.size)
-    return HomSpace(x, y, [layout.unvec(v) for v in kernel])
+    return HomSpace(x, y, layout, sparse_kernel(layout.intertwiner_rows(), layout.size))
 
 
 def hom_dim(x: QuiverRep, y: QuiverRep) -> int:
@@ -355,7 +355,7 @@ def hom_dim(x: QuiverRep, y: QuiverRep) -> int:
 class EndAlgebra:
     """The endomorphism algebra of a representation M.
 
-    basis is the Hom basis of End(M); radical_coeffs spans its Jacobson
+    hom is End(M) as a Hom space; radical_coeffs spans its Jacobson
     radical in basis coordinates.  The radical is the kernel of Dickson's
     trace form (a, b) -> Tr_M(ab), the trace of ab acting on M itself.  This
     holds because M is a faithful End(M)-module in characteristic zero: the
@@ -364,47 +364,40 @@ class EndAlgebra:
     """
 
     rep: QuiverRep
-    basis: list[GradedMap]
+    hom: HomSpace
     radical_dim: int
     semisimple_quotient_dim: int
     radical_coeffs: list[Vector]
 
     @property
+    def basis(self) -> list[GradedMap]:
+        return self.hom.basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.hom.dim
 
 
-def trace_pairing(left: Sequence[GradedMap], right: Sequence[GradedMap]) -> list[list[Fraction]]:
+def trace_pairing(layout: _HomLayout, left: Sequence[Vector], right: Sequence[Vector]) -> list[list[Fraction]]:
     """The Gram matrix G[i][j] = Tr(b_j a_i) of graded maps a_i: X -> Y in
     left and b_j: Y -> X in right, the traces summed over the vertices.
 
-    Computed in integers: each map is flattened over (vertex, row, column)
-    and scaled by the lcm d of its denominators, each b_j is read transposed
-    through one index permutation, and the entry is Fraction(s, d_i d_j) for
-    the integer dot product s.  When right is left, G is symmetric and only
-    half of it is computed.
+    Computed in integers on the coordinates of layout = _HomLayout(X, Y)
+    and of _HomLayout(Y, X), which give each vertex the same offset: each
+    vector is scaled by the lcm d of its denominators, each b_j is read
+    transposed through one index permutation, and the entry is
+    Fraction(s, d_i d_j) for the integer dot product s.  When right is left,
+    G is symmetric and only half of it is computed.
     """
-    if not left:
-        return []
-    vertices = list(left[0])
-    # flat position of a_v[r, c] -> flat position of b_v[c, r]
-    perm = []
-    for v in vertices:
-        m = left[0][v]
-        base = len(perm)
-        perm.extend(base + c * m.rows + r for r in range(m.rows) for c in range(m.cols))
-    a_side = []
-    for g in left:
-        ints, den = scale_to_ints(e for v in vertices for e in g[v].entries())
-        nonzero = [k for k, e in enumerate(ints) if e]
-        a_side.append((nonzero, [ints[k] for k in nonzero], den))
-    b_side = []
-    for g in right:
-        ints, den = scale_to_ints(e for v in vertices for e in g[v].entries())
-        b_side.append(([ints[k] for k in perm], den))
+    dx, dy = layout.x.dim, layout.y.dim
+    # position of a_v[r, c] -> position of b_v[c, r]
+    perm = [o + c * dy(v) + r for v, o in layout.offsets.items() for r in range(dy(v)) for c in range(dx(v))]
+    b_side = [([ints[k] for k in perm], den) for ints, den in map(scale_to_ints, right)]
     symmetric = left is right
     gram = [[_ZERO] * len(right) for _ in left]
-    for i, (nonzero, values, di) in enumerate(a_side):
+    for i, (ints, di) in enumerate(map(scale_to_ints, left)):
+        nonzero = [k for k, e in enumerate(ints) if e]
+        values = [ints[k] for k in nonzero]
         for j in range(i if symmetric else 0, len(right)):
             transposed, dj = b_side[j]
             s = sum(map(mul, values, map(transposed.__getitem__, nonzero)))
@@ -419,15 +412,14 @@ def end_algebra(x: QuiverRep) -> EndAlgebra:
     """Endomorphism algebra with its radical from the trace form on x."""
     if x.total_dim == 0:
         raise ValueError("endomorphism algebra of the zero representation")
-    basis = hom_basis(x, x).basis
-    n = len(basis)
-    radical_coeffs = kernel_basis(Matrix.from_rows(trace_pairing(basis, basis), cols=n))
+    hom = hom_basis(x, x)
+    radical_coeffs = kernel_basis(Matrix.from_rows(trace_pairing(hom.layout, hom.coords, hom.coords), cols=hom.dim))
     radical_dim = len(radical_coeffs)
     return EndAlgebra(
         rep=x,
-        basis=basis,
+        hom=hom,
         radical_dim=radical_dim,
-        semisimple_quotient_dim=n - radical_dim,
+        semisimple_quotient_dim=hom.dim - radical_dim,
         radical_coeffs=radical_coeffs,
     )
 
@@ -633,15 +625,16 @@ def _kernel_at(f: Sequence[int], block: list[list[int]]) -> list[Vector]:
     return sparse_kernel([{j: v for j, v in enumerate(row) if v} for row in acc], d)
 
 
-def _candidates(end: EndAlgebra):
-    """The End basis in order but for its radical elements (e_i among the
-    radical_coeffs; a power of t never splits), then 8 seeded combinations,
-    drawn as if none were skipped and made on demand."""
+def _candidates(end: EndAlgebra) -> Iterator[Sequence[Fraction]]:
+    """The End coordinate vectors in order but for radical elements (e_i
+    among the radical_coeffs; a power of t never splits), then 8 seeded
+    combinations, drawn as if none were skipped and made on demand."""
     radical = {v.index(_ONE) for v in end.radical_coeffs if sum(1 for c in v if c) == 1}
-    yield from (g for i, g in enumerate(end.basis) if i not in radical)
+    coords = end.hom.coords
+    yield from (v for i, v in enumerate(coords) if i not in radical)
     rng = random.Random(0)
-    for _ in range(8):
-        yield _combination(end.basis, [rng.randint(-3, 3) for _ in end.basis])
+    draws = ([rng.randint(-3, 3) for _ in coords] for _ in range(8))
+    yield from ([sum(map(mul, c, column)) for column in zip(*coords)] for c in draws)
 
 
 # A component of a primary decomposition: the column basis B of the
@@ -664,10 +657,12 @@ def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[Component] | None
     [B_1 ... B_k] per nonempty weight space gives every component's
     coordinate rows.  None when no candidate splits.
     """
-    vertices = [v for v, m in end.basis[0].items() if m.rows]
+    vertices = [v for v in x.window.vertices() if x.dim(v)]
+    blocks_at = [(end.hom.layout.offsets[v], x.dim(v)) for v in vertices]
     empty = {v: Matrix.zero(0, 0) for v in x.window.vertices()}
     for phi in _candidates(end):
-        blocks = _scaled_blocks(phi)
+        ints, _ = scale_to_ints(phi)
+        blocks = [[ints[o + r * k : o + r * k + k] for r in range(k)] for o, k in blocks_at]
         minpoly = reduce(_poly_lcm, {tuple(_minimal_polynomial(block)) for block in blocks})
         factors = _coprime_factors(minpoly)
         if len(factors) < 2:
@@ -781,22 +776,6 @@ def direct_sum(x: QuiverRep, y: QuiverRep) -> QuiverRep:
 
 # ---------------------------------------------------------------------------
 # Isomorphism testing and the base-change group action
-
-
-def _combination(basis: list[GradedMap], coeffs: Sequence[Fraction | int]) -> GradedMap:
-    """sum c_i basis_i, accumulated in one pass over each vertex's entries."""
-    terms = [(frac(c), g) for c, g in zip(coeffs, basis) if c]
-    out = {}
-    for v, m in basis[0].items():
-        acc = [_ZERO] * (m.rows * m.cols)
-        for c, g in terms:
-            for r in range(m.rows):
-                base = r * m.cols
-                for k, a in enumerate(g[v].row(r)):
-                    if a:
-                        acc[base + k] += c * a
-        out[v] = Matrix(m.rows, m.cols, acc)
-    return out
 
 
 def is_isomorphic(
@@ -957,14 +936,6 @@ def _solutions(
         for col, a in zip(free, c):
             w[col] = a
         yield c, (w if affine or any(c) else None)
-
-
-def _scaled_blocks(g: GradedMap) -> list[list[list[int]]]:
-    """The nonempty blocks of D g, a square graded map, in vertex order as
-    integer rows, with D the lcm of the denominators of all of g's entries."""
-    sizes = [m.rows for m in g.values() if m.rows]
-    entries = iter(scale_to_ints(a for m in g.values() for a in m.entries())[0])
-    return [[list(itertools.islice(entries, k)) for _ in range(k)] for k in sizes]
 
 
 def _invertible(blocks: Iterable[list[list[int]]]) -> bool:

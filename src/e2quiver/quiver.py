@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .linalg import shown
 
@@ -35,6 +35,15 @@ def json_object(value: object, what: str) -> Mapping:
     """value when it is a JSON object, else ValueError naming what."""
     if not isinstance(value, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_fields(value: object, what: str, known: Collection[str]) -> Mapping:
+    """value when it is a JSON object with no key outside known (so that a
+    document of another kind is refused), else ValueError naming the keys."""
+    unknown = sorted(set(json_object(value, what)) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys in {what}: {shown(unknown)}")
     return value
 
 

@@ -555,13 +555,50 @@ def test_identical_seeds_identical_output(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_emitted_documents_reparse(capsys):
+def test_emitted_documents_reparse(capsys, tmp_path, hook_module_path):
     docs = run_json(capsys, "enumerate-thin", "--window", "0", "2")
     for doc in docs:
         rep = QuiverRep.from_json_dict(doc)
         emitted = rep.to_json_dict()
         assert emitted["dims"] == doc["dims"]
         assert emitted["maps"] == doc["maps"]
+    # every representation and module document the CLI emits reads back
+    # through the CLI as its kind, with its annotations (indecomposable,
+    # verdict), though the readers refuse unknown keys
+    thin = run_json(capsys, "enumerate-thin", "--window", "0", "2", "--include-decomposables")
+    total = direct_sum(QuiverRep.from_json_dict(thin[0]), QuiverRep.from_json_dict(thin[3]))
+    hidden = write_json(tmp_path / "sum.json", apply_gv(total, random_gv(total, random.Random(4))).to_json_dict())
+    summands = run_json(capsys, "decompose", "--module", hidden)["summands"]
+    reps = thin + summands + [run_json(capsys, "to-quiver", "--module", hook_module_path)]
+    assert any(not d["indecomposable"] for d in thin) and all("verdict" in d for d in summands)
+    for i, doc in enumerate(reps):
+        assert run_json(capsys, "end-algebra", "--module", write_json(tmp_path / f"rep{i}.json", doc))["dim"] >= 1
+    modules = [
+        run_json(capsys, "young", "--partition", "[2,1]")["module"],
+        run_json(capsys, "from-quiver", "--module", str(tmp_path / f"rep{len(reps) - 1}.json")),
+        run_json(capsys, "shift", "--module", hook_module_path, "--weight", "1"),
+    ]
+    for i, doc in enumerate(modules):
+        assert run_json(capsys, "verify", "--module", write_json(tmp_path / f"module{i}.json", doc))["valid"]
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["verify", "--module", "young_rep.json"], "module: list ['maps', 'window']"),
+        (["end-algebra", "--module", "framed_stable.json"], "representation: list ['framing', 'framing_dims']"),
+        (["stable", "--module", "hook_module.json"], "framed point: list ['p_minus', 'p_plus']"),
+    ],
+)
+def test_document_of_another_kind_exits_1(capsys, argv, unknown):
+    # the readers once ignored keys of another kind and defaulted their own:
+    # verify read young_rep.json as a module with every map zero and exited 0
+    code, out, err = run_cli(capsys, *argv[:-1], str(GOLDEN_INPUTS / argv[-1]))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": f"unknown keys in {unknown}"}
 
 
 # Weight keys spelled other than -?digits.  int() reads all but the last as

@@ -7,9 +7,9 @@ solution space.  Those loops are kept here as the reference, and the shared
 search (``_attempts``) must give the same verdict on every seeded input: a
 change to the order of the random draws would flip some of the short-trial
 verdicts below.  The reference loops form every candidate over ``Fraction``
-with ``_combination`` and test it with ``_gm_invertible``, the per-vertex
-rank check that the search used before it formed its candidates in
-integers.
+with ``_combination`` (now in ``graded_oracles``) and test it with
+``_gm_invertible``, the per-vertex rank check that the search used before
+it formed its candidates in integers.
 
 The search under test builds no basis: it keeps the integer echelon form
 of its system (``linalg.Echelon``) and back-substitutes each candidate from
@@ -55,10 +55,8 @@ from e2quiver.preproj import (
     _WITNESS_DRAWS,
     GradedMap,
     _attempts,
-    _combination,
     _HomLayout,
     _invertible,
-    _scaled_blocks,
     _solutions,
     apply_gv,
     direct_sum,
@@ -69,6 +67,7 @@ from e2quiver.preproj import (
 )
 from e2quiver.quiver import DimensionVector, Window
 from arrow_ranks import _arrow_ranks
+from graded_oracles import _combination, _scaled_blocks
 
 SEEDS = (0, 1, 2, 3)
 TRIALS = (1, 2, 5, 20)

@@ -37,7 +37,6 @@ from e2quiver.preproj import (
     _poly_lcm,
     _poly_trim,
     _primary_components,
-    _scaled_blocks,
     apply_gv,
     direct_sum,
     end_algebra,
@@ -47,6 +46,7 @@ from e2quiver.preproj import (
 )
 from e2quiver.quiver import DimensionVector, double_arrows
 import fraction_polys
+from graded_oracles import _scaled_blocks
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -188,15 +188,16 @@ def test_corpus_has_non_integer_entries(corpus):
 
 def test_trace_pairing_matches_dict_keyed_gram(corpus):
     for x in corpus:
-        basis = hom_basis(x, x).basis
-        assert trace_pairing(basis, basis) == oracle_gram(basis)
+        hom = hom_basis(x, x)
+        assert trace_pairing(hom.layout, hom.coords, hom.coords) == oracle_gram(hom.basis)
+        assert end_algebra(x).basis == hom.basis
 
 
 def test_trace_pairing_of_two_bases_matches_compositions(corpus):
     for x, y in zip(corpus, corpus[1:] + corpus[:1]):
-        forward, backward = hom_basis(x, y).basis, hom_basis(y, x).basis
-        assert trace_pairing(forward, backward) == oracle_pairing(forward, backward)
-        assert trace_pairing(backward, forward) == oracle_pairing(backward, forward)
+        forward, backward = hom_basis(x, y), hom_basis(y, x)
+        assert trace_pairing(forward.layout, forward.coords, backward.coords) == oracle_pairing(forward.basis, backward.basis)
+        assert trace_pairing(backward.layout, backward.coords, forward.coords) == oracle_pairing(backward.basis, forward.basis)
 
 
 # --- intertwiner rows -------------------------------------------------------

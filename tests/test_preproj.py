@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -631,6 +633,25 @@ def test_decompose_with_huge_eigenvalues_returns_promptly():
     assert sum((p.dims for p in parts), DimensionVector()) == x.dims
     assert len(parts) == 3
     assert all(is_indecomposable(p).verdict == INDECOMPOSABLE for p in parts)
+
+
+def _end_fields(end):
+    return end.dim, end.radical_coeffs, end.radical_dim, end.semisimple_quotient_dim
+
+
+def test_end_algebra_and_decompose_build_no_graded_map(monkeypatch):
+    """End stays in the Hom layout's coordinates: with _HomLayout.unvec
+    raising, decompose and end_algebra return what they return with it."""
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    reps = [QuiverRep.from_json_dict(json.loads((inputs / name).read_text())) for name in ("hidden_sum.json", "huge_eigenvalues.json")]
+    wide = QuiverRep.zero(DimensionVector({v: 1 for v in range(100)}))
+    expected = [decompose(x) for x in reps], _end_fields(end_algebra(wide))
+
+    def unvec(self, coords):
+        raise AssertionError("a graded map was built")
+
+    monkeypatch.setattr(_HomLayout, "unvec", unvec)
+    assert ([decompose(x) for x in reps], _end_fields(end_algebra(wide))) == expected
 
 
 # --- direct sums ----------------------------------------------------------------
