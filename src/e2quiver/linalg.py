@@ -1,25 +1,30 @@
 """Exact dense linear algebra over the rational numbers.
 
-Every matrix entry is a ``fractions.Fraction``; there is no floating point
-and no tolerance anywhere in this package.  Matrices are small (total
-dimensions of the order of tens), so the elimination routines favour
-exactness and determinism over asymptotics.  One elimination core serves
-rank, pivots, kernels, solving and spinning: ``Echelon``, fraction-free
-Gaussian elimination on primitive integer rows, which keeps each row that
-is independent of the rows before it.  Rank and pivot columns are read off
+A ``Matrix`` holds one number format: a tuple of Python ints over one
+positive denominator, in lowest terms.  Products, sums, inverses and
+solutions run on those integers, and ``Fraction``s are built only where a
+caller reads entries (``entries``, ``row``, ``col``, ``m[i, j]``), at the
+JSON boundary (``frac``, ``to_lists``) and in the public kernel and solve
+results.  Internal callers read the integers with ``Matrix.ints`` and
+build matrices from integers.  There is no floating point and no
+tolerance anywhere in this package.  Matrices are small (total dimensions
+of the order of tens), so the elimination routines favour exactness and
+determinism over asymptotics.  One elimination core serves rank, pivots,
+kernels, solving and spinning: ``Echelon``, fraction-free Gaussian
+elimination on primitive integer rows, which keeps each row that is
+independent of the rows before it.  Rank and pivot columns are read off
 its echelon form alone, with no back-substitution and no division.
 Kernels and solutions are read off the integer reduced row echelon form
 that back-substitution of its rows gives (pivot-normalized kernel bases,
-solutions with free variables zero), each entry built once as a Fraction
-over its row's pivot entry; no rational echelon form is formed.  The
+solutions with free variables zero), as integers over the lcm of the
+pivot entries they divide by; no rational echelon form is formed.  The
 invertibility search of ``preproj`` back-substitutes one integer vector at
 a time from the echelon form instead (``back_substitute``).  (``preproj``
 ranks its small dense integer blocks, the arrow maps and the
 invertibility candidates, by its own Bareiss elimination; the public
 ``rank`` stays on this core, which large sparse systems need.)  The sparse
-entry points take rows of Fractions, of Python ints or of both: callers
-that have already scaled a homogeneous system to integers
-(``scale_to_ints``) hand it over as it is.
+entry points take rows of Fractions, of Python ints or of both: a
+homogeneous system already in integers is handed over as it is.
 
 Floats are rejected on input so a rounding error can never sneak in.
 """
@@ -29,14 +34,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 # The only string form of a rational.  Decimal points, "+" signs, exponents and
 # whitespace are refused, so a string can never ask for a huge power of ten.
@@ -76,38 +77,66 @@ def frac(value: RationalLike) -> Fraction:
 
 
 Vector = tuple[Fraction, ...]
+# A rational vector as integers n over a denominator d > 0: the vector n / d.
+IntVector = tuple[Sequence[int], int]
 
 
 def vector(values: Iterable[RationalLike]) -> Vector:
     return tuple(frac(v) for v in values)
 
 
+def _fractions(ints: Iterable[int], den: int) -> Vector:
+    """The Fractions n / den, for n in ints."""
+    return tuple(map(Fraction, ints)) if den == 1 else tuple(Fraction(n, den) for n in ints)
+
+
 class Matrix:
     """Immutable dense rational matrix, row-major.
 
-    0xN and Nx0 matrices are legal and represent maps to or from the zero
-    space.
+    Stored as one tuple of Python ints over one positive denominator, in
+    lowest terms (the gcd of the denominator and every numerator is 1), so
+    equal rationals give equal matrices and equal hashes.  Arithmetic runs
+    on the integers; entries, rows and columns are read as Fractions, built
+    on demand.  0xN and Nx0 matrices are legal and represent maps to or
+    from the zero space.
     """
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_e", "_d")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[RationalLike]):
-        self.rows = rows
-        self.cols = cols
-        self._e = tuple(v if v.__class__ is Fraction else frac(v) for v in entries)
-        if len(self._e) != rows * cols:
-            raise ValueError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(self._e)}"
-            )
+        values = [v if v.__class__ is int or v.__class__ is Fraction else frac(v) for v in entries]
+        if len(values) != rows * cols:
+            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(values)}")
+        # already lowest terms: a prime's full power in the lcm divides some entry's denominator q, so not its n * (lcm / q)
+        den = lcm(*(v.denominator for v in values))
+        self.rows, self.cols, self._d = rows, cols, den
+        self._e = tuple(v.numerator * (den // v.denominator) for v in values)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, ints: Sequence[int], den: int = 1) -> "Matrix":
+        """The matrix of the integers ints (row-major) over den > 0."""
+        if den != 1 and (g := gcd(den, *ints)) != 1:
+            ints, den = [v // g for v in ints], den // g
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._e, m._d = rows, cols, tuple(ints), den
+        return m
+
+    @classmethod
+    def _of_columns(cls, rows: int, columns: Sequence[IntVector]) -> "Matrix":
+        """The matrix whose columns are the integer vectors given."""
+        den = lcm(*(d for _, d in columns))
+        scaled = [ints if d == den else [v * (den // d) for v in ints] for ints, d in columns]
+        return cls._of(rows, len(columns), [col[r] for r in range(rows) for col in scaled], den)
+
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """The integer entries, row-major, and the denominator they share."""
+        return self._e, self._d
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalLike]], cols: int | None = None) -> "Matrix":
-        nrows = len(rows)
-        if nrows == 0:
-            if cols is None:
-                cols = 0
-            return cls(0, cols, ())
-        ncols = len(rows[0])
+        if not rows:
+            return cls._of(0, cols or 0, ())
+        nrows, ncols = len(rows), len(rows[0])
         if cols is not None and cols != ncols:
             raise ValueError(f"expected {cols} columns, got {ncols}")
         if any(len(r) != ncols for r in rows):
@@ -116,103 +145,92 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
+        return cls._of(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, (_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
+        return cls._of(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[RationalLike]], rows: int | None = None) -> "Matrix":
-        if len(columns) == 0:
-            return cls(rows if rows is not None else 0, 0, ())
+        if not columns:
+            return cls._of(rows or 0, 0, ())
         nrows = len(columns[0])
         if rows is not None and rows != nrows:
             raise ValueError(f"expected {rows} rows, got {nrows}")
         if any(len(c) != nrows for c in columns):
             raise ValueError("ragged columns")
-        return cls(nrows, len(columns), (frac(columns[j][i]) for i in range(nrows) for j in range(len(columns))))
+        return cls(nrows, len(columns), (columns[j][i] for i in range(nrows) for j in range(len(columns))))
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) out of range for {self.rows}x{self.cols}")
-        return self._e[i * self.cols + j]
+        return Fraction(self._e[i * self.cols + j], self._d)
 
     def entries(self) -> Vector:
         """All entries, row-major."""
-        return self._e
+        return _fractions(self._e, self._d)
 
     def row(self, i: int) -> Vector:
-        return self._e[i * self.cols : (i + 1) * self.cols]
+        return _fractions(self._e[i * self.cols : (i + 1) * self.cols], self._d)
 
     def col(self, j: int) -> Vector:
-        return tuple(self._e[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.rows}x{self.cols}")
+        return _fractions(self._e[j :: self.cols], self._d)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self._e)
+        return not any(self._e)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._e == other._e
+        return self.rows == other.rows and self.cols == other.cols and self._d == other._d and self._e == other._e
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self._e, self._d))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return Matrix(self.rows, self.cols, (a + b if b else a for a, b in zip(self._e, other._e)))
+        den = lcm(self._d, other._d)
+        a, b = den // self._d, den // other._d
+        return Matrix._of(self.rows, self.cols, [a * x + b * y for x, y in zip(self._e, other._e)], den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} - {other.shape}")
-        return Matrix(self.rows, self.cols, (a - b if b else a for a, b in zip(self._e, other._e)))
+        return self + other.scale(-1)
 
     def scale(self, c: RationalLike) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, (c * a for a in self._e))
+        return Matrix._of(self.rows, self.cols, [c.numerator * a for a in self._e], self._d * c.denominator)
 
     def __mul__(self, other: Union["Matrix", RationalLike]) -> "Matrix":
-        if isinstance(other, Matrix):
-            return self.matmul(other)
-        return self.scale(other)
+        return self.matmul(other) if isinstance(other, Matrix) else self.scale(other)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        n, m, p = self.rows, self.cols, other.cols
-        out = [_ZERO] * (n * p)
-        se, oe = self._e, other._e
-        for i in range(n):
-            base = i * m
-            for k in range(m):
-                a = se[base + k]
-                if a == 0:
-                    continue
-                ob = k * p
-                rb = i * p
-                for j in range(p):
-                    b = oe[ob + j]
-                    if b != 0:
-                        out[rb + j] += a * b
-        return Matrix(n, p, out)
+        p = other.cols
+        columns = [other._e[j::p] for j in range(p)]
+        out = [sum(map(mul, row, col)) for row in self._rows() for col in columns]
+        return Matrix._of(self.rows, p, out, self._d * other._d)
 
     def apply(self, v: Sequence[RationalLike]) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError(f"cannot apply {self.shape} to a vector of length {len(v)}")
-        vv = vector(v)
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum((self._e[base + j] * vv[j] for j in range(self.cols)), _ZERO))
-        return tuple(out)
+        ints, den = scale_to_ints(vector(v))
+        return _fractions([sum(map(mul, row, ints)) for row in self._rows()], self._d * den)
+
+    def _rows(self) -> list[tuple[int, ...]]:
+        """The integer rows."""
+        n = self.cols
+        return [self._e[i : i + n] for i in range(0, self.rows * n, n)] if n else [()] * self.rows
 
     def to_lists(self) -> list[list[str]]:
         """Rows of canonical rational strings, for JSON interchange."""
@@ -255,13 +273,15 @@ class Matrix:
 # at its leading column until it vanishes or leads where no kept row does
 # (the forward phase, all that rank needs); _reduce then clears the entries
 # above each pivot, last pivot first.  Kernels and solutions read each entry
-# they need off the integer reduced rows, divided by the row's pivot entry
-# once (_kernel, _particular).  The reduced row echelon form is unique, so
-# this gives exactly what elimination over Fraction gives.  Only this module
-# knows the row format: primitive rows with a positive leading entry.
+# they need off the integer reduced rows, as integers over the lcm of the
+# pivot entries they divide by (_kernel, _particular).  The reduced row
+# echelon form is unique, so this gives exactly what elimination over
+# Fraction gives.  Only this module knows the row format: primitive rows
+# with a positive leading entry.
 
 SparseRow = dict[int, Union[Fraction, int]]
 _IntRow = dict[int, int]
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 def scale_to_ints(values: Iterable[Union[Fraction, int]]) -> tuple[list[int], int]:
@@ -274,19 +294,16 @@ def scale_to_ints(values: Iterable[Union[Fraction, int]]) -> tuple[list[int], in
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
-def _to_sparse_rows(m: Matrix) -> list[SparseRow]:
-    rows = []
-    for i in range(m.rows):
-        r = m.row(i)
-        rows.append({j: v for j, v in enumerate(r) if v != 0})
-    return rows
+def _to_sparse_rows(m: Matrix) -> list[_IntRow]:
+    """The rows of m's integer entries: the rows of m times its denominator."""
+    return [{j: v for j, v in enumerate(row) if v} for row in m._rows()]
 
 
 def _primitive(row: SparseRow) -> _IntRow:
     """A nonzero rational row scaled to integers with no common factor."""
-    den = lcm(*(v.denominator for v in row.values()))
+    den = lcm(*map(_denominator, row.values()))
     if den == 1:
-        out = {c: v.numerator for c, v in row.items()}
+        out = dict(zip(row, map(_numerator, row.values())))
     else:
         out = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     g = gcd(*out.values())
@@ -404,39 +421,42 @@ def _augment(rows: list[SparseRow], ncols: int, rhs: Iterable[Sequence[Fraction]
     return out
 
 
-def _kernel(reduced: list[_IntRow], pivots: list[int], ncols: int) -> list[Vector]:
+def _kernel(reduced: list[_IntRow], pivots: list[int], ncols: int) -> list[IntVector]:
     """Pivot-normalized kernel basis of the first ncols columns of an
-    integer reduced echelon form (_reduce): each entry is built once, as
-    -v / p for the entry v of a row with pivot entry p."""
+    integer reduced echelon form (_reduce), each vector as integers over
+    its least denominator: the free entry is 1 and a pivot entry -v / p for
+    the entry v of a row with pivot entry p, all over the lcm of those p."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
-        for row, p in zip(reduced, pivots):
-            if p >= ncols:
-                break
-            coeff = row.get(free)
-            if coeff is not None:
-                v[p] = Fraction(-coeff, row[p])
-        basis.append(tuple(v))
+        entries = [(p, -row[free], row[p]) for row, p in zip(reduced, pivots) if p < ncols and free in row]
+        den = lcm(*(q for _, _, q in entries))
+        v = [0] * ncols
+        v[free] = den
+        for p, coeff, q in entries:
+            v[p] = coeff * (den // q)
+        if den != 1 and (g := gcd(den, *v)) != 1:
+            v, den = [c // g for c in v], den // g
+        basis.append((v, den))
     return basis
 
 
-def _particular(reduced: list[_IntRow], pivots: list[int], ncols: int, nrhs: int) -> list[list[Fraction]] | None:
+def _particular(reduced: list[_IntRow], pivots: list[int], ncols: int, nrhs: int) -> Matrix | None:
     """The solution X (ncols x nrhs, free variables zero) of A X = B read off
     the integer reduced echelon form of [A | B] (_reduce), or None when a
-    pivot lies in B."""
+    pivot lies in B: row by row, the entries in B over the pivot entry."""
     if pivots and pivots[-1] >= ncols:
         return None
-    x = [[_ZERO] * nrhs for _ in range(ncols)]
+    den = lcm(*(row[p] for row, p in zip(reduced, pivots)))
+    x = [0] * (ncols * nrhs)
     for row, p in zip(reduced, pivots):
+        scale = den // row[p]
         for c, v in row.items():
             if c >= ncols:
-                x[p][c - ncols] = Fraction(v, row[p])
-    return x
+                x[p * nrhs + c - ncols] = v * scale
+    return Matrix._of(ncols, nrhs, x, den)
 
 
 def sparse_rank(rows: list[SparseRow], ncols: int) -> int:
@@ -445,10 +465,15 @@ def sparse_rank(rows: list[SparseRow], ncols: int) -> int:
     return len(Echelon(rows).form()[1])
 
 
-def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[Vector]:
-    """Pivot-normalized kernel basis of a sparse homogeneous system."""
+def sparse_int_kernel(rows: list[SparseRow], ncols: int) -> list[IntVector]:
+    """sparse_kernel's basis, each vector as integers over a denominator."""
     reduced, pivots = _reduce(rows)
     return _kernel(reduced, pivots, ncols)
+
+
+def sparse_kernel(rows: list[SparseRow], ncols: int) -> list[Vector]:
+    """Pivot-normalized kernel basis of a sparse homogeneous system."""
+    return [_fractions(*v) for v in sparse_int_kernel(rows, ncols)]
 
 
 def sparse_affine_solve(
@@ -461,7 +486,7 @@ def sparse_affine_solve(
     """
     reduced, pivots = _reduce(_augment(rows, ncols, ((v,) for v in rhs)))
     x = _particular(reduced, pivots, ncols, 1)
-    return (None if x is None else tuple(r[0] for r in x)), _kernel(reduced, pivots, ncols)
+    return (None if x is None else x.col(0)), [_fractions(*v) for v in _kernel(reduced, pivots, ncols)]
 
 
 def rank(m: Matrix) -> int:
@@ -477,7 +502,8 @@ def pivot_columns(m: Matrix) -> list[int]:
 
 def column_space_basis(m: Matrix) -> Matrix:
     """The pivot columns of m itself: an exact basis of the column space."""
-    return Matrix.from_columns([m.col(j) for j in pivot_columns(m)], rows=m.rows)
+    pivots = pivot_columns(m)
+    return Matrix._of(m.rows, len(pivots), [row[j] for row in m._rows() for j in pivots], m._d)
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -510,17 +536,20 @@ def solve_multi(m: Matrix, rhs: Matrix) -> Matrix | None:
     """
     if rhs.rows != m.rows:
         raise ValueError(f"right-hand side has {rhs.rows} rows, matrix has {m.rows}")
-    rows = _augment(_to_sparse_rows(m), m.cols, (rhs.row(i) for i in range(rhs.rows)))
+    # m X = rhs with m = M / dm and rhs = R / dr is [dr M | dm R] in integers
+    g = gcd(m._d, rhs._d)
+    a, b = rhs._d // g, m._d // g
+    rows = [{j: a * v for j, v in row.items()} for row in _to_sparse_rows(m)]
+    rows = _augment(rows, m.cols, ([b * v for v in row] for row in rhs._rows()))
     reduced, pivots = _reduce(rows)
-    x = _particular(reduced, pivots, m.cols, rhs.cols)
-    return None if x is None else Matrix.from_rows(x, cols=rhs.cols)
+    return _particular(reduced, pivots, m.cols, rhs.cols)
 
 
 def trace(m: Matrix) -> Fraction:
     """Sum of diagonal entries; raises on non-square input."""
     if m.rows != m.cols:
         raise ValueError(f"trace of non-square {m.rows}x{m.cols} matrix")
-    return sum((m[i, i] for i in range(m.rows)), _ZERO)
+    return Fraction(sum(m._e[:: m.cols + 1]), m._d)
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -535,16 +564,13 @@ def inverse(m: Matrix) -> Matrix | None:
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    nrows = sum(b.rows for b in blocks)
     ncols = sum(b.cols for b in blocks)
-    out = [[_ZERO] * ncols for _ in range(nrows)]
-    r0 = c0 = 0
+    den = lcm(*(b._d for b in blocks))
+    out: list[int] = []
+    c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            row = b.row(i)
-            for j in range(b.cols):
-                if row[j] != 0:
-                    out[r0 + i][c0 + j] = row[j]
-        r0 += b.rows
+        scale = den // b._d
+        for row in b._rows():
+            out += [0] * c0 + [scale * v for v in row] + [0] * (ncols - c0 - b.cols)
         c0 += b.cols
-    return Matrix.from_rows(out, cols=ncols)
+    return Matrix._of(sum(b.rows for b in blocks), ncols, out, den)

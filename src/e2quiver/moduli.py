@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .euclid import EuclideanModule
 # rank is unused here, but bench/test_bench.py checks that its tracer rewraps moduli.rank
-from .linalg import Echelon, Matrix, SparseRow, Vector, _augment, frac, rank, scale_to_ints, sparse_affine_solve
+from .linalg import Echelon, IntVector, Matrix, SparseRow, Vector, _augment, _kernel, _particular, _reduce, frac, rank, scale_to_ints, vector
 from .preproj import (
     GradedMap,
     QuiverRep,
@@ -39,9 +38,6 @@ from .preproj import (
     check_relations,
 )
 from .quiver import Arrow, DimensionVector, Window, check_size, double_arrows, json_fields, json_weight_object
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -159,9 +155,9 @@ def young_module(p: Partition, a: int) -> GeneratorSet:
             for pos, (i, j) in enumerate(boxes):
                 if p.has_box(i + di, j + dj):
                     _, tpos = index[(i + di, j + dj)]
-                    entries[(tpos, pos)] = _ONE
+                    entries[(tpos, pos)] = 1
             rows_data = [
-                [entries.get((r, c), _ZERO) for c in range(dims[w])]
+                [entries.get((r, c), 0) for c in range(dims[w])]
                 for r in range(dims[w + step])
             ]
             out[w] = Matrix.from_rows(rows_data, cols=dims[w])
@@ -169,7 +165,7 @@ def young_module(p: Partition, a: int) -> GeneratorSet:
 
     module = EuclideanModule(dims, action(1, 0), action(0, 1))
     gen_weight, gen_pos = index[(1, 1)]
-    coords = tuple(_ONE if t == gen_pos else _ZERO for t in range(dims[gen_weight]))
+    coords = vector(int(t == gen_pos) for t in range(dims[gen_weight]))
     return GeneratorSet(module, [(gen_weight, coords)])
 
 
@@ -269,33 +265,26 @@ def framed_point(gs: GeneratorSet) -> FramedPoint:
     return FramedPoint._of_valid(rep, framing_dims, framing)
 
 
-def _spin(x: QuiverRep, seed: Mapping) -> dict[int, list[tuple[list[int], int]]]:
-    """invariant_closure's basis per vertex, each vector as integers n over
-    a denominator d > 0 (the vector n / d)."""
-    basis: dict[int, list[tuple[list[int], int]]] = {v: [] for v in x.window.vertices()}
+def _spin(x: QuiverRep, seed: Iterable[tuple[int, IntVector]]) -> dict[int, list[IntVector]]:
+    """invariant_closure's basis per vertex for the seed vectors (weight,
+    vector) in order, each vector as integers over a denominator."""
+    basis: dict[int, list[IntVector]] = {v: [] for v in x.window.vertices()}
     echelons = {v: Echelon() for v in basis}
 
-    def try_add(vertex: int, ints: list[int], den: int) -> bool:
+    def try_add(vertex: int, ints: Sequence[int], den: int) -> bool:
         kept = echelons[vertex].add({j: c for j, c in enumerate(ints) if c})
         if kept:
             basis[vertex].append((ints, den))
         return kept
 
-    for k, vectors in seed.items():
-        k = int(k)
-        if not x.window.contains(k):
-            raise ValueError(f"seed weight {k} outside window")
-        for raw in vectors:
-            vec = [frac(c) for c in raw]
-            if len(vec) != x.dim(k):
-                raise ValueError(f"seed vector at weight {k} has wrong length")
-            try_add(k, *scale_to_ints(vec))
+    for k, (ints, den) in seed:
+        try_add(k, ints, den)
 
     # the nonzero arrow maps as integer rows over a denominator, and how many source vectors each pushed
     arrows = []
     for arrow in double_arrows(x.window):
         if (m := x.map(arrow)).rows and m.cols:
-            ints, den = scale_to_ints(m.entries())
+            ints, den = m.ints()
             arrows.append((arrow, [ints[r * m.cols : (r + 1) * m.cols] for r in range(m.rows)], den))
     pushed = [0] * len(arrows)
     changed = True
@@ -330,35 +319,43 @@ def invariant_closure(
     (``Echelon``).  The result is deterministic: vectors are appended in
     arrow order, pass after pass, and never rewritten.
     """
-    return {
-        v: Matrix(x.dim(v), len(cols), (Fraction(vec[r], den) for r in range(x.dim(v)) for vec, den in cols))
-        for v, cols in _spin(x, seed).items()
-    }
+    vectors = []
+    for k, raw_vectors in seed.items():
+        k = int(k)
+        if not x.window.contains(k):
+            raise ValueError(f"seed weight {k} outside window")
+        for raw in raw_vectors:
+            vec = [frac(c) for c in raw]
+            if len(vec) != x.dim(k):
+                raise ValueError(f"seed vector at weight {k} has wrong length")
+            vectors.append((k, scale_to_ints(vec)))
+    return {v: Matrix._of_columns(x.dim(v), cols) for v, cols in _spin(x, vectors).items()}
 
 
 def is_stable(p: FramedPoint) -> bool:
     """Whether the only invariant graded subspace containing the framing
     image is the whole space; equivalently, the framing columns generate."""
-    seed = {k: [s.col(j) for j in range(s.cols)] for k, s in p.framing.items()}
+    seed = [(k, (ints[j :: s.cols], d)) for k, s in p.framing.items() for ints, d in [s.ints()] for j in range(s.cols)]
     return all(len(cols) == p.rep.dim(v) for v, cols in _spin(p.rep, seed).items())
 
 
-def _framed_system(p: FramedPoint, q: FramedPoint) -> tuple[_HomLayout, list[SparseRow], list[Fraction]]:
+def _framed_system(p: FramedPoint, q: FramedPoint) -> tuple[_HomLayout, list[SparseRow], list[int]]:
     """The combined linear system g x = x' g, g s = s' on the coordinates of
-    _HomLayout(p.rep, q.rep): its layout, rows and right-hand side."""
+    _HomLayout(p.rep, q.rep), in integers: its layout, rows and right-hand
+    side, each equation of g s = s' (s = S / d, s' = S' / d') as g S d' = S' d."""
     if p.framing_dims != q.framing_dims:
         raise ValueError("framing dimension vectors differ")
     layout = _HomLayout(p.rep, q.rep)
     rows = layout.intertwiner_rows()
-    rhs = [_ZERO] * len(rows)
+    rhs = [0] * len(rows)
     for k in sorted(p.framing.keys() | q.framing.keys()):  # elsewhere s = s' = 0 gives no row
         w, n, base = p.framing_dims[k], layout.x.dim(k), layout.offsets[k]
-        s, s2 = p.framing_map(k).entries(), q.framing_map(k).entries()
+        (s, d), (s2, d2) = p.framing_map(k).ints(), q.framing_map(k).ints()
         for r, c in itertools.product(range(layout.y.dim(k)), range(w)):
-            row: SparseRow = {base + r * n + j: a for j, a in enumerate(s[c::w]) if a}
+            row: SparseRow = {base + r * n + j: a * d2 for j, a in enumerate(s[c::w]) if a}
             if row or s2[r * w + c]:
                 rows.append(row)
-                rhs.append(s2[r * w + c])
+                rhs.append(s2[r * w + c] * d)
     return layout, rows, rhs
 
 
@@ -372,9 +369,10 @@ def framed_equivalence_space(
     None when the system is inconsistent.
     """
     layout, rows, rhs = _framed_system(p, q)
-    particular, kernel = sparse_affine_solve(rows, rhs, layout.size)
-    particular_map = layout.unvec(particular) if particular is not None else None
-    return particular_map, [layout.unvec(v) for v in kernel]
+    reduced, pivots = _reduce(_augment(rows, layout.size, ((v,) for v in rhs)))
+    particular = _particular(reduced, pivots, layout.size, 1)
+    kernel = [layout.unvec(v) for v in _kernel(reduced, pivots, layout.size)]
+    return (None if particular is None else layout.unvec(particular.ints())), kernel
 
 
 def framed_equivalent(

@@ -16,15 +16,17 @@ components ker f_i(phi) for the coprime factors f_i of its minimal polynomial
 are submodules with direct sum M.  The f_i come from Yun's square-free blocks
 and their integer roots, found p-adically with no size cap.
 
-Results are exact rationals, but the inner loops run on Python ints: each
-input is scaled by the lcm of its denominators, and the scale is divided
-out once at the end.  That covers the relation check (path products
-compared cross-multiplied), the intertwiner rows of the Hom system and the
-trace pairing under ``decompose``.  A split candidate phi is scaled once,
-by one D for all weight spaces, and every polynomial of the split is a
-monic integer polynomial of D phi, whose kernels ker f_i(D phi) are the
-components.  One inverse per weight space gives the coordinates along every
-component, for both the projection and the restriction.
+Results are exact rationals, and the inner loops run on Python ints, the
+one number format of ``linalg.Matrix``: integers over one denominator, read
+with ``Matrix.ints``.  The relation check compares path products
+cross-multiplied by their denominators, and the intertwiner rows of the Hom
+system are integer rows.  Hom keeps its kernel vectors as integers over a
+denominator, so the trace pairing under ``decompose`` rescales nothing.  A
+split candidate phi comes as the integer map D phi, one D for all weight
+spaces, and every polynomial of the split is a monic integer polynomial of
+D phi, whose kernels ker f_i(D phi) are the components.  One integer
+inverse per weight space gives the coordinates along every component, for
+both the projection and the restriction, which are integer products.
 
 Isomorphism testing and framed equivalence share one search for an
 invertible element of the solutions of a linear system of graded maps:
@@ -37,7 +39,7 @@ tests its integer blocks by Bareiss elimination.  The isomorphism test
 first compares the ranks of the arrow maps, a base-change invariant whose
 mismatch is a certain False with no Hom elimination; it separates sums of
 thin indecomposables that differ in a summand.  Each rank comes from the
-same Bareiss elimination, on the map's entries scaled to integers, and the
+same Bareiss elimination, on the map's integer entries, and the
 comparison stops at the first arrow whose ranks differ.  Then it looks for
 a witness: a few draws run before the Hom dimensions it compares, ranks of
 the intertwiner system (hom_dim).
@@ -51,23 +53,22 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
     Echelon,
+    IntVector,
     Matrix,
     SparseRow,
     Vector,
     back_substitute,
     block_diag,
-    frac,
     inverse,
-    kernel_basis,
     rank,  # unused here, but bench/test_bench.py checks that its tracer rewraps preproj.rank
-    scale_to_ints,
     shown,
+    sparse_int_kernel,
     sparse_kernel,
     sparse_rank,
 )
@@ -82,9 +83,6 @@ from .quiver import (
     json_object,
     window_of_support,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # A graded linear map between two representations: one matrix per vertex of
 # the working window (explicit zero-shape matrices included).
@@ -202,7 +200,7 @@ class QuiverRep:
         return cls(window, dims, maps)
 
 
-def _path(first: tuple[list[int], int], second: tuple[list[int], int], n: int, m: int) -> tuple[list[int], int]:
+def _path(first: IntVector, second: IntVector, n: int, m: int) -> IntVector:
     """second * first for first: n -> m and second: m -> n, all row-major ints over a denominator."""
     (a, da), (b, db) = first, second
     cols = [a[c::n] for c in range(n)]
@@ -214,11 +212,11 @@ def check_relations(x: QuiverRep) -> list[int]:
     module over the preprojective algebra.
 
     The relation at i is hbar_i h_i - h_{i-1} hbar_{i-1}, each term dropped
-    at its window end.  It runs on Python ints, with no Matrix built: each
-    arrow map is scaled once to integers over the lcm of its denominators,
-    and the two paths at a vertex are compared cross-multiplied by theirs.
+    at its window end.  It runs on each arrow map's integers over its
+    denominator (Matrix.ints), with no Matrix built, and the two paths at a
+    vertex are compared cross-multiplied by their denominators.
     """
-    w, scaled = x.window, {name: scale_to_ints(m.entries()) for name, m in x.maps.items()}
+    w, scaled = x.window, {name: m.ints() for name, m in x.maps.items()}
     violated = []
     for i in w.vertices():
         n = x.dim(i)
@@ -238,7 +236,7 @@ def total_matrix(x: QuiverRep) -> Matrix:
     verts = list(x.window.vertices())
     offsets = dict(zip(verts, itertools.accumulate((x.dim(v) for v in verts), initial=0)))
     total = x.total_dim
-    entries = [[_ZERO] * total for _ in range(total)]
+    entries = [[0] * total for _ in range(total)]
     # no two arrows share a (target, source) pair, so each block is written once
     for arrow in double_arrows(x.window):
         m, r0, c0 = x.map(arrow), offsets[arrow.target], offsets[arrow.source]
@@ -272,13 +270,14 @@ def is_nilpotent(x: QuiverRep) -> bool:
 @dataclass
 class HomSpace:
     """A basis of the graded intertwiners from source to target: the kernel
-    vectors (coords) of their system on layout's coordinates, and the same
-    maps as graded maps (basis), built on first read."""
+    vectors (coords) of their system on layout's coordinates, each as
+    integers over its least denominator, and the same maps as graded maps
+    (basis), built on first read."""
 
     source: QuiverRep
     target: QuiverRep
     layout: _HomLayout = field(compare=False, repr=False)
-    coords: list[Vector]
+    coords: list[IntVector]
 
     @property
     def dim(self) -> int:
@@ -312,8 +311,10 @@ class _HomLayout:
         for arrow in double_arrows(self.window):
             xa = self.x.map(arrow)
             ya = self.y.map(arrow)
-            ints, _ = scale_to_ints(xa.entries() + ya.entries())
-            x_ints, y_ints = ints[: len(xa.entries())], ints[len(xa.entries()) :]
+            (x_ints, dx), (y_ints, dy) = xa.ints(), ya.ints()
+            if dx != dy:
+                g = gcd(dx, dy)
+                x_ints, y_ints = [v * (dy // g) for v in x_ints], [v * (dx // g) for v in y_ints]
             tgt_base, src_base = self.offsets[arrow.target], self.offsets[arrow.source]
             # unknown g_target[r, k] sits at tgt_base + r * xa.rows + k and
             # g_source[k, c] at src_base + k * xa.cols + c; the two never meet
@@ -332,16 +333,16 @@ class _HomLayout:
                         rows.append(row)
         return rows
 
-    def unvec(self, coords: Sequence[Fraction]) -> GradedMap:
-        rows, cols = self.y.dim, self.x.dim
-        return {v: Matrix(rows(v), cols(v), coords[o : o + rows(v) * cols(v)]) for v, o in self.offsets.items()}
+    def unvec(self, coords: IntVector) -> GradedMap:
+        (ints, den), rows, cols = coords, self.y.dim, self.x.dim
+        return {v: Matrix._of(rows(v), cols(v), ints[o : o + rows(v) * cols(v)], den) for v, o in self.offsets.items()}
 
 
 def hom_basis(x: QuiverRep, y: QuiverRep) -> HomSpace:
     """Basis of all graded maps g with g_target x_a = y_a g_source for every
     double-quiver arrow, computed as the kernel of the stacked linear system."""
     layout = _HomLayout(x, y)
-    return HomSpace(x, y, layout, sparse_kernel(layout.intertwiner_rows(), layout.size))
+    return HomSpace(x, y, layout, sparse_int_kernel(layout.intertwiner_rows(), layout.size))
 
 
 def hom_dim(x: QuiverRep, y: QuiverRep) -> int:
@@ -378,24 +379,25 @@ class EndAlgebra:
         return self.hom.dim
 
 
-def trace_pairing(layout: _HomLayout, left: Sequence[Vector], right: Sequence[Vector]) -> list[list[Fraction]]:
+def trace_pairing(layout: _HomLayout, left: Sequence[IntVector], right: Sequence[IntVector]) -> list[dict[int, Fraction]]:
     """The Gram matrix G[i][j] = Tr(b_j a_i) of graded maps a_i: X -> Y in
-    left and b_j: Y -> X in right, the traces summed over the vertices.
+    left and b_j: Y -> X in right, the traces summed over the vertices, as
+    sparse rows: row i holds the nonzero G[i][j] under j.
 
     Computed in integers on the coordinates of layout = _HomLayout(X, Y)
     and of _HomLayout(Y, X), which give each vertex the same offset: each
-    vector is scaled by the lcm d of its denominators, each b_j is read
-    transposed through one index permutation, and the entry is
+    vector is integers n over a denominator d (HomSpace.coords), each b_j
+    is read transposed through one index permutation, and the entry is
     Fraction(s, d_i d_j) for the integer dot product s.  When right is left,
     G is symmetric and only half of it is computed.
     """
     dx, dy = layout.x.dim, layout.y.dim
     # position of a_v[r, c] -> position of b_v[c, r]
     perm = [o + c * dy(v) + r for v, o in layout.offsets.items() for r in range(dy(v)) for c in range(dx(v))]
-    b_side = [([ints[k] for k in perm], den) for ints, den in map(scale_to_ints, right)]
+    b_side = [([ints[k] for k in perm], den) for ints, den in right]
     symmetric = left is right
-    gram = [[_ZERO] * len(right) for _ in left]
-    for i, (ints, di) in enumerate(map(scale_to_ints, left)):
+    gram: list[dict[int, Fraction]] = [{} for _ in left]
+    for i, (ints, di) in enumerate(left):
         nonzero = [k for k, e in enumerate(ints) if e]
         values = [ints[k] for k in nonzero]
         for j in range(i if symmetric else 0, len(right)):
@@ -413,7 +415,7 @@ def end_algebra(x: QuiverRep) -> EndAlgebra:
     if x.total_dim == 0:
         raise ValueError("endomorphism algebra of the zero representation")
     hom = hom_basis(x, x)
-    radical_coeffs = kernel_basis(Matrix.from_rows(trace_pairing(hom.layout, hom.coords, hom.coords), cols=hom.dim))
+    radical_coeffs = sparse_kernel(trace_pairing(hom.layout, hom.coords, hom.coords), hom.dim)
     radical_dim = len(radical_coeffs)
     return EndAlgebra(
         rep=x,
@@ -610,31 +612,38 @@ def _minimal_polynomial(block: list[list[int]]) -> list[int]:
         power = _int_matmul(power, block)
         flat.append([e for row in power for e in row])
     stacked = [{j: e for j, e in enumerate(entry) if e} for entry in zip(*flat)]
-    return _poly_trim([int(c) for c in sparse_kernel(stacked, d + 1)[0]])
+    return _poly_trim(sparse_int_kernel(stacked, d + 1)[0][0])
 
 
-def _kernel_at(f: Sequence[int], block: list[list[int]]) -> list[Vector]:
-    """Pivot-normalized basis of ker f(M) for a monic integer polynomial f
-    and a square integer matrix M, with f(M) evaluated by Horner's rule."""
+def _kernel_at(f: Sequence[int], block: list[list[int]]) -> list[IntVector]:
+    """Pivot-normalized basis of ker f(M), as integer vectors over their
+    denominators, for a monic integer polynomial f and a square integer
+    matrix M, with f(M) evaluated by Horner's rule."""
     d = len(block)
     acc = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     for c in reversed(f[:-1]):
         acc = _int_matmul(acc, block)
         for i in range(d):
             acc[i][i] += c
-    return sparse_kernel([{j: v for j, v in enumerate(row) if v} for row in acc], d)
+    return sparse_int_kernel([{j: v for j, v in enumerate(row) if v} for row in acc], d)
 
 
-def _candidates(end: EndAlgebra) -> Iterator[Sequence[Fraction]]:
+def _candidates(end: EndAlgebra) -> Iterator[Sequence[int]]:
     """The End coordinate vectors in order but for radical elements (e_i
     among the radical_coeffs; a power of t never splits), then 8 seeded
-    combinations, drawn as if none were skipped and made on demand."""
-    radical = {v.index(_ONE) for v in end.radical_coeffs if sum(1 for c in v if c) == 1}
+    combinations, drawn as if none were skipped and made on demand: each
+    phi as the integers of D phi, D the least denominator of its entries."""
+    radical = {v.index(1) for v in end.radical_coeffs if sum(1 for c in v if c) == 1}
     coords = end.hom.coords
-    yield from (v for i, v in enumerate(coords) if i not in radical)
+    yield from (ints for i, (ints, _) in enumerate(coords) if i not in radical)
     rng = random.Random(0)
     draws = ([rng.randint(-3, 3) for _ in coords] for _ in range(8))
-    yield from ([sum(map(mul, c, column)) for column in zip(*coords)] for c in draws)
+    den = lcm(*(d for _, d in coords))
+    columns = list(zip(*([v * (den // d) for v in ints] for ints, d in coords)))
+    for c in draws:
+        phi = [sum(map(mul, c, column)) for column in columns]
+        g = gcd(den, *phi)
+        yield [v // g for v in phi]
 
 
 # A component of a primary decomposition: the column basis B of the
@@ -647,21 +656,21 @@ def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[Component] | None
     """The primary decomposition of x under the first candidate endomorphism
     phi whose minimal polynomial has two or more coprime factors f_i.
 
-    phi is scaled once to the integer map D phi, with D the lcm of its
+    Each candidate comes as the integer map D phi, with D the lcm of its
     denominators over all weight spaces.  The minimal polynomial of D phi is
     monic with integer coefficients, and so are the f_i; each component is
     ker f_i(D phi).  It is a submodule because phi commutes with the arrows,
     and x is the direct sum of the components (Fitting's lemma).  phi is
     graded, so its minimal polynomial is the lcm of those of its nonempty
-    blocks; empty weight spaces add no columns.  One inverse of
-    [B_1 ... B_k] per nonempty weight space gives every component's
-    coordinate rows.  None when no candidate splits.
+    blocks; empty weight spaces add no columns.  The bases B_i are the
+    integer kernel vectors, and one inverse of [B_1 ... B_k] per nonempty
+    weight space gives every component's coordinate rows.  None when no
+    candidate splits.
     """
     vertices = [v for v in x.window.vertices() if x.dim(v)]
     blocks_at = [(end.hom.layout.offsets[v], x.dim(v)) for v in vertices]
     empty = {v: Matrix.zero(0, 0) for v in x.window.vertices()}
-    for phi in _candidates(end):
-        ints, _ = scale_to_ints(phi)
+    for ints in _candidates(end):
         blocks = [[ints[o + r * k : o + r * k + k] for r in range(k)] for o, k in blocks_at]
         minpoly = reduce(_poly_lcm, {tuple(_minimal_polynomial(block)) for block in blocks})
         factors = _coprime_factors(minpoly)
@@ -674,12 +683,12 @@ def _primary_components(x: QuiverRep, end: EndAlgebra) -> list[Component] | None
             columns = [col for kernel in kernels for col in kernel[i]]
             if len(columns) != n:
                 raise AssertionError(f"primary components do not fill weight {v}")
-            inv = inverse(Matrix(n, n, (col[r] for r in range(n) for col in columns))).entries()
+            inv, den = inverse(Matrix._of_columns(n, columns)).ints()
             first = 0
             for (basis, coords), kernel in zip(components, kernels):
                 k = len(kernel[i])
-                basis[v] = Matrix(n, k, (col[r] for r in range(n) for col in kernel[i]))
-                coords[v] = Matrix(k, n, inv[first * n : (first + k) * n])
+                basis[v] = Matrix._of_columns(n, kernel[i])
+                coords[v] = Matrix._of(k, n, inv[first * n : (first + k) * n], den)
                 first += k
         return components
     return None
@@ -847,12 +856,11 @@ def _same_arrow_ranks(x: QuiverRep, y: QuiverRep) -> bool:
 
 
 def _rank(m: Matrix) -> int:
-    """The rank of m: the number of pivots _bareiss finds in its rows
-    scaled to integers by the lcm of the entries' denominators."""
+    """The rank of m: the number of pivots _bareiss finds in its integer
+    rows (Matrix.ints)."""
     if not m.rows or not m.cols:
         return 0
-    entries, _ = scale_to_ints(m.entries())
-    n = m.cols
+    entries, n = m.ints()[0], m.cols
     return sum(_bareiss([entries[i : i + n] for i in range(0, len(entries), n)]))
 
 
@@ -994,7 +1002,7 @@ def random_gv(x: QuiverRep, rng: random.Random) -> GradedMap:
     g = {}
     for v in x.window.vertices():
         n = x.dim(v)
-        lower = [[_ONE if i == j else (frac(rng.randint(-2, 2)) if i > j else _ZERO) for j in range(n)] for i in range(n)]
-        upper = [[_ONE if i == j else (frac(rng.randint(-2, 2)) if i < j else _ZERO) for j in range(n)] for i in range(n)]
+        lower = [[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(n)] for i in range(n)]
+        upper = [[1 if i == j else (rng.randint(-2, 2) if i < j else 0) for j in range(n)] for i in range(n)]
         g[v] = Matrix.from_rows(lower, cols=n) * Matrix.from_rows(upper, cols=n)
     return g

@@ -209,7 +209,7 @@ def test_hom_rank_nullity_against_brute_force():
         n = layout.size
         columns = []
         for idx in range(n):
-            unit = layout.unvec([Fraction(int(i == idx)) for i in range(n)])
+            unit = layout.unvec(([int(i == idx) for i in range(n)], 1))
             defect = []
             for arrow in double_arrows(layout.window):
                 d = unit[arrow.target] * layout.x.map(arrow) - layout.y.map(arrow) * unit[arrow.source]
