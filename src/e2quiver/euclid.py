@@ -9,21 +9,25 @@ The dictionary with preprojective-algebra representations identifies the
 degree +1 action restricted to weight i with the forward arrow map at i,
 and the degree -1 action restricted to weight i+1 with the reversed
 arrow map; the commutator condition becomes exactly the
-Gelfand-Ponomarev relation.  Both directions of the dictionary are
-bit-exact inverses on valid objects, and the dictionary is an equivalence
-of categories, so the dimension of Hom between modules (hom_dimension) is
-read off the rank of the intertwiner system of the quiver images.
+Gelfand-Ponomarev relation.  Modules and representations are immutable,
+so each is checked once: a module keeps its verdict and its quiver image,
+which keeps its relation verdict, for every later crossing of the
+dictionary.  Both directions of the dictionary are bit-exact inverses on
+valid objects, and the dictionary is an equivalence of categories, so the
+dimension of Hom between modules (hom_dimension) is read off the rank of
+the intertwiner system of the quiver images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, frac, shown
 from .preproj import QuiverRep, check_relations, hom_dim
-from .quiver import Arrow, DimensionVector, check_size, json_fields, json_weight, json_weight_object, window_of_support
+from .quiver import Arrow, DimensionVector, Frozen, check_size, json_fields, json_weight, json_weight_object, window_of_support
 
 _ZERO = Fraction(0)
 
@@ -42,16 +46,18 @@ def proj(k: int) -> str:
 GradedVector = dict[int, tuple[Fraction, ...]]
 
 
-class EuclideanModule:
+class EuclideanModule(Frozen):
     """Weight-graded module with raising (p_plus) and lowering (p_minus) maps.
 
     p_plus[k] maps the weight-k space to the weight-(k+1) space, p_minus[k]
     maps it to the weight-(k-1) space.  Zero maps of the right shape are
     implied and dropped, so equality of modules is bit-exact equality of
-    the stored data.
+    the stored data.  The value is immutable: p_plus and p_minus are
+    read-only mappings, so the module keeps validate's verdict and its
+    quiver image in the slot _checked (None until the first check).
     """
 
-    __slots__ = ("dims", "p_plus", "p_minus")
+    __slots__ = ("dims", "p_plus", "p_minus", "_checked")
 
     def __init__(
         self,
@@ -59,20 +65,8 @@ class EuclideanModule:
         p_plus: Mapping[int, Matrix] | None = None,
         p_minus: Mapping[int, Matrix] | None = None,
     ):
-        self.dims = dims
-        self.p_plus = self._canonical(p_plus or {}, 1)
-        self.p_minus = self._canonical(p_minus or {}, -1)
-
-    def _canonical(self, maps: Mapping[int, Matrix], step: int) -> dict[int, Matrix]:
-        """Drop the zero maps of the right shape, which plus and minus imply;
-        a wrongly shaped map is kept for validate to report."""
-        dims = self.dims
-        canonical = {}
-        for k, m in maps.items():
-            k = int(k)
-            if not m.is_zero() or m.rows != dims[k + step] or m.cols != dims[k]:
-                canonical[k] = m
-        return canonical
+        plus, minus = _canonical(dims, p_plus or {}, 1), _canonical(dims, p_minus or {}, -1)
+        self._set(dims=dims, p_plus=plus, p_minus=minus, _checked=None)
 
     def plus(self, k: int) -> Matrix:
         return self.p_plus.get(k, Matrix.zero(self.dims[k + 1], self.dims[k]))
@@ -83,6 +77,9 @@ class EuclideanModule:
     @property
     def total_dim(self) -> int:
         return self.dims.total()
+
+    def __reduce__(self):
+        return EuclideanModule, (self.dims, dict(self.p_plus), dict(self.p_minus))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EuclideanModule):
@@ -112,20 +109,42 @@ class EuclideanModule:
         return cls(dims, p_plus, p_minus)
 
 
+def _canonical(dims: DimensionVector, maps: Mapping[int, Matrix], step: int) -> Mapping[int, Matrix]:
+    """The maps read-only, without the zero maps of the right shape, which
+    plus and minus imply; a wrongly shaped map is kept for validate to report."""
+    canonical = {}
+    for k, m in maps.items():
+        k = int(k)
+        if not m.is_zero() or m.rows != dims[k + step] or m.cols != dims[k]:
+            canonical[k] = m
+    return MappingProxyType(canonical)
+
+
 def validate(m: EuclideanModule) -> list[str]:
     """Violations of the module axioms; empty iff m is a valid module.
 
     Checks map shapes against the weight-space dimensions, then the
     commutator condition, which the dictionary turns into the
     Gelfand-Ponomarev relation: its violations are read off check_relations
-    of the to_quiver image.  Problems are reported, not thrown.
+    of the to_quiver image.  Problems are reported, not thrown.  Each module
+    is checked once; every call returns a new list of its verdict.
     """
-    return _checked_image(m)[0]
+    return list(_checked_image(m)[0])
 
 
-def _checked_image(m: EuclideanModule) -> tuple[list[str], QuiverRep | None]:
+def _checked_image(m: EuclideanModule) -> tuple[tuple[str, ...], QuiverRep | None]:
     """validate's violations, with the dictionary image that the relation
-    check was run on, or None when m is zero or a map has the wrong shape."""
+    check was run on, or None when m is zero or a map has the wrong shape;
+    computed once per module and kept on it."""
+    checked = m._checked
+    if checked is None:
+        checked = _check_module(m)
+        m._set(_checked=checked)
+    return checked
+
+
+def _check_module(m: EuclideanModule) -> tuple[tuple[str, ...], QuiverRep | None]:
+    """_checked_image computed afresh."""
     violations = []
     for name, maps, step in (("p_plus", m.p_plus, 1), ("p_minus", m.p_minus, -1)):
         for k, mat in sorted(maps.items()):
@@ -133,14 +152,14 @@ def _checked_image(m: EuclideanModule) -> tuple[list[str], QuiverRep | None]:
             if mat.shape != expected:
                 violations.append(f"{name} at weight {k} has shape {mat.shape}, expected {expected}")
     if violations or m.dims.is_zero():
-        return violations, None
+        return tuple(violations), None
     window = window_of_support(m.dims)
     maps = {}
     for i in window.arrow_indices():
         maps[Arrow(i).name] = m.plus(i)
         maps[Arrow(i, reverse=True).name] = m.minus(i + 1)
     image = QuiverRep(window, m.dims, maps)
-    return [f"commutator violation at weight {k}" for k in check_relations(image)], image
+    return tuple(f"commutator violation at weight {k}" for k in check_relations(image)), image
 
 
 def to_quiver(m: EuclideanModule) -> QuiverRep:
@@ -148,7 +167,8 @@ def to_quiver(m: EuclideanModule) -> QuiverRep:
     restricting the raising and lowering actions to the weight spaces.
 
     The commutator condition turns into the Gelfand-Ponomarev relation, so the
-    result always satisfies the relations.
+    result always satisfies the relations.  The image is built once per
+    module: every call returns the same immutable QuiverRep.
     """
     image = _require_valid(m)
     if image is None:
@@ -167,7 +187,9 @@ def _require_valid(m: EuclideanModule) -> QuiverRep | None:
 
 def from_quiver(x: QuiverRep) -> EuclideanModule:
     """Inverse of to_quiver on objects: forward arrows become the raising
-    action, reversed arrows the lowering action."""
+    action, reversed arrows the lowering action.  On an image of to_quiver
+    the relations are not checked again: check_relations reads the verdict
+    kept on it."""
     violated = check_relations(x)
     if violated:
         raise ValueError(f"relations violated at vertices {violated}")

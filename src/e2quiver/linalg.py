@@ -216,6 +216,8 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         p = other.cols
+        if not (self.rows and self.cols and p):  # an empty side: the zero product, over 1
+            return Matrix.zero(self.rows, p)
         columns = [other._e[j::p] for j in range(p)]
         out = [sum(map(mul, row, col)) for row in self._rows() for col in columns]
         return Matrix._of(self.rows, p, out, self._d * other._d)

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .euclid import EuclideanModule
@@ -37,7 +38,7 @@ from .preproj import (
     apply_gv,
     check_relations,
 )
-from .quiver import Arrow, DimensionVector, Window, check_size, double_arrows, json_fields, json_weight_object
+from .quiver import Arrow, DimensionVector, Frozen, Window, check_size, double_arrows, json_fields, json_weight_object
 
 
 @dataclass(frozen=True)
@@ -169,13 +170,14 @@ def young_module(p: Partition, a: int) -> GeneratorSet:
     return GeneratorSet(module, [(gen_weight, coords)])
 
 
-class FramedPoint:
+class FramedPoint(Frozen):
     """A nilpotent relation-satisfying representation with framing maps.
 
     framing[i] has shape dims(i) x framing_dims(i); zero-shape framings are
     implied.  The relations are enforced here, and they make the
     representation nilpotent (see the module docstring), so every framed
-    point lives in the nilpotent variety without a nilpotency test.
+    point lives in the nilpotent variety without a nilpotency test.  The
+    value is immutable, and framing is a read-only mapping.
     """
 
     __slots__ = ("rep", "framing_dims", "framing")
@@ -200,8 +202,6 @@ class FramedPoint:
         return point
 
     def _frame(self, rep: QuiverRep, framing_dims: DimensionVector, framing: Mapping[int, Matrix] | None) -> None:
-        self.rep = rep
-        self.framing_dims = framing_dims
         given = dict(framing) if framing else {}
         canonical: dict[int, Matrix] = {}
         keys = set(given) | set(framing_dims.support())
@@ -212,10 +212,13 @@ class FramedPoint:
                 raise ValueError(f"framing at weight {k} has shape {m.shape}, expected {expected}")
             if m.rows > 0 and m.cols > 0:
                 canonical[k] = m
-        self.framing = canonical
+        self._set(rep=rep, framing_dims=framing_dims, framing=MappingProxyType(canonical))
 
     def framing_map(self, k: int) -> Matrix:
         return self.framing.get(k, Matrix.zero(self.rep.dims[k], self.framing_dims[k]))
+
+    def __reduce__(self):
+        return FramedPoint, (self.rep, self.framing_dims, dict(self.framing))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FramedPoint):

@@ -55,6 +55,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, isqrt, lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
@@ -75,6 +76,7 @@ from .linalg import (
 from .quiver import (
     Arrow,
     DimensionVector,
+    Frozen,
     Window,
     check_size,
     double_arrows,
@@ -89,15 +91,17 @@ from .quiver import (
 GradedMap = dict[int, Matrix]
 
 
-class QuiverRep:
+class QuiverRep(Frozen):
     """A point of the representation variety of the double quiver on a window.
 
     Every arrow of the window carries exactly one matrix of shape
     dims(target) x dims(source); arrows touching zero-dimensional weight
-    spaces carry explicit zero-shape matrices.
+    spaces carry explicit zero-shape matrices.  The value is immutable:
+    maps is a read-only mapping, so check_relations keeps its verdict in
+    the slot _violated (None until the first check).
     """
 
-    __slots__ = ("window", "dims", "maps")
+    __slots__ = ("window", "dims", "maps", "_violated")
 
     # The keys from_json_dict reads, with the annotations the CLI adds to the
     # documents it emits (enumerate-thin, decompose), so that they read back.
@@ -112,8 +116,6 @@ class QuiverRep:
         for k in dims.support():
             if not window.contains(k):
                 raise ValueError(f"dimension vector has weight {k} outside window [{window.a}, {window.b}]")
-        self.window = window
-        self.dims = dims
         given = dict(maps) if maps else {}
         complete: dict[str, Matrix] = {}
         for arrow in double_arrows(window):
@@ -129,7 +131,7 @@ class QuiverRep:
             complete[arrow.name] = m
         if given:
             raise ValueError(f"maps for arrows outside the window: {sorted(given)}")
-        self.maps = complete
+        self._set(window=window, dims=dims, maps=MappingProxyType(complete), _violated=None)
 
     @classmethod
     def zero(cls, dims: DimensionVector, window: Window | None = None) -> "QuiverRep":
@@ -155,6 +157,9 @@ class QuiverRep:
         if window == self.window:
             return self
         return QuiverRep(window, self.dims, dict(self.maps))
+
+    def __reduce__(self):
+        return QuiverRep, (self.window, self.dims, dict(self.maps))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuiverRep):
@@ -210,6 +215,19 @@ def _path(first: IntVector, second: IntVector, n: int, m: int) -> IntVector:
 def check_relations(x: QuiverRep) -> list[int]:
     """Vertices where the preprojective relation fails; empty iff x is a
     module over the preprojective algebra.
+
+    Each representation is checked once: the verdict stays on x, and every
+    call returns a new list of it.
+    """
+    violated = x._violated
+    if violated is None:
+        violated = tuple(_relation_violations(x))
+        x._set(_violated=violated)
+    return list(violated)
+
+
+def _relation_violations(x: QuiverRep) -> list[int]:
+    """check_relations computed afresh.
 
     The relation at i is hbar_i h_i - h_{i-1} hbar_{i-1}, each term dropped
     at its window end.  It runs on each arrow map's integers over its

@@ -82,6 +82,28 @@ def json_weight_object(value: object, what: str) -> dict[int, object]:
     return out
 
 
+class Frozen:
+    """Base of the immutable values: assigning or deleting an attribute
+    raises AttributeError.  Their own code sets attributes through _set: the
+    constructor, and the first check that fills a cache slot with a result
+    that depends only on the value.  Two threads that fill one slot store
+    equal results, so a race only repeats the work.  Each subclass pickles
+    and copies through its constructor (__reduce__), which leaves the cache
+    slots empty."""
+
+    __slots__ = ()
+
+    def _set(self, **values: object) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name}")
+
+
 class DimensionVector:
     """Finitely supported map from integer weights to multiplicities >= 0.
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from e2quiver.euclid import (
 )
 from e2quiver.linalg import Matrix
 from e2quiver.moduli import Partition, young_module
-from e2quiver.preproj import QuiverRep, direct_sum, hom_basis, split
+from e2quiver.preproj import QuiverRep, check_relations, direct_sum, hom_basis, split
 from e2quiver.quiver import DimensionVector, Window
 from hom_oracles import module_side_hom_dimension
 from word_oracle import accumulating_apply_word
@@ -119,6 +121,56 @@ def test_validate_matches_the_commutator_loop_oracle():
         assert validate(m) == expected
         kinds["valid" if not expected else "shape" if "shape" in expected[0] else "commutator"] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+# --- immutable values and the verdicts they keep ---------------------------------
+
+
+def test_modules_and_representations_are_immutable():
+    m = young_module(Partition.of(3, 1), 0).module
+    x = to_quiver(m)
+    for maps in (x.maps, m.p_plus, m.p_minus):
+        with pytest.raises(TypeError):
+            maps[0] = ONE
+    for value, names in ((x, ("window", "dims", "maps")), (m, ("dims", "p_plus", "p_minus"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.label = "a new attribute"
+        # pickle and copy rebuild through the constructor
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert twin == value
+
+
+def test_constructors_copy_the_maps_they_are_given():
+    dims = DimensionVector({0: 1, 1: 1})
+    given = {0: ONE}
+    m = EuclideanModule(dims, given)
+    arrows = {"h0": ONE}
+    x = QuiverRep(Window(0, 1), dims, arrows)
+    given[0] = arrows["h0"] = Matrix.from_rows([[2]])
+    assert m.plus(0) == x.map("h0") == ONE
+
+
+def test_validate_keeps_its_verdict_and_returns_new_lists():
+    shape = EuclideanModule(DimensionVector({0: 1}), p_plus={0: Matrix.from_rows([[1, 2]])})
+    for m in (ladder(1, 1), shape):
+        first = validate(m)
+        assert first
+        first.append("changed by the caller")
+        assert validate(m) == first[:-1] == validate(EuclideanModule(m.dims, m.p_plus, m.p_minus))
+    x = QuiverRep(Window(0, 1), DimensionVector({0: 1, 1: 1}), {"h0": ONE, "hbar0": ONE})
+    first = check_relations(x)
+    first.append(7)
+    assert check_relations(x) == first[:-1] == [0, 1]
+
+
+def test_to_quiver_returns_one_image_per_module(young_corpus):
+    for _, gs in young_corpus:
+        assert to_quiver(gs.module) is to_quiver(gs.module)
 
 
 # --- the dictionary -------------------------------------------------------------

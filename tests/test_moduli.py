@@ -1,10 +1,12 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from e2quiver import euclid, moduli
+from e2quiver import euclid, moduli, preproj
 from e2quiver.euclid import EuclideanModule, to_quiver
 from e2quiver.linalg import Matrix
 from e2quiver.moduli import (
@@ -193,6 +195,46 @@ def test_framed_point_checks_the_relations_once(monkeypatch):
     )
     with pytest.raises(ValueError, match="invalid module: "):
         framed_point(GeneratorSet(module, [(0, (Fraction(1),))]))
+
+
+def test_one_young_chain_checks_the_relations_once(monkeypatch):
+    relation_checks, shape_checks = [], []
+
+    def counted(calls, body):
+        def call(value):
+            calls.append(value)
+            return body(value)
+
+        return call
+
+    monkeypatch.setattr(preproj, "_relation_violations", counted(relation_checks, preproj._relation_violations))
+    monkeypatch.setattr(euclid, "_check_module", counted(shape_checks, euclid._check_module))
+    gs = young_module(Partition.of(4, 3, 2, 1), 0)
+    assert euclid.validate(gs.module) == []
+    x = to_quiver(gs.module)
+    assert euclid.from_quiver(x) == gs.module
+    point = framed_point(gs)
+    assert point.rep is x
+    assert FramedPoint(point.rep, point.framing_dims, point.framing) == point
+    assert relation_checks == [x]
+    assert shape_checks == [gs.module]
+    # hom_dimension(m, m) checks m once
+    m = young_module(Partition.of(3, 1), 0).module
+    assert euclid.hom_dimension(m, m) == 1
+    assert shape_checks == [gs.module, m]
+
+
+def test_framed_points_are_immutable():
+    point = framed_point(young_module(Partition.of(2, 1), 0))
+    with pytest.raises(TypeError):
+        point.framing[0] = Matrix.from_rows([[1]])
+    for name in ("rep", "framing_dims", "framing"):
+        with pytest.raises(AttributeError):
+            setattr(point, name, getattr(point, name))
+        with pytest.raises(AttributeError):
+            delattr(point, name)
+    for twin in (pickle.loads(pickle.dumps(point)), copy.copy(point), copy.deepcopy(point)):
+        assert twin == point
 
 
 def test_apply_gv_framed_skips_the_relation_check(monkeypatch, young_corpus):

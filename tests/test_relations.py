@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from e2quiver.euclid import to_quiver
+from e2quiver.euclid import EuclideanModule, to_quiver, validate
 from e2quiver.linalg import Matrix
 from e2quiver.moduli import partitions_up_to, young_module
 from e2quiver.preproj import QuiverRep, apply_gv, check_relations, direct_sum
-from e2quiver.quiver import DimensionVector, Window
+from e2quiver.quiver import Arrow, DimensionVector, Window
 
 from relation_oracle import violated_vertices
 from test_integer_kernels import fractional_gv
@@ -63,9 +63,9 @@ def test_one_changed_entry_gives_the_oracle_vertices(valid_corpus):
     assert {0, 1, 2} <= seen
 
 
-def test_degenerate_shapes_give_the_oracle_vertices():
+def _degenerate_cases() -> list[QuiverRep]:
     one = Matrix.from_rows([[1]])
-    cases = [
+    return [
         QuiverRep(Window(3, 3), DimensionVector({3: 2})),
         QuiverRep(Window(0, 0), DimensionVector({})),
         # zero interior weight space: every path through vertex 1 is zero
@@ -79,6 +79,10 @@ def test_degenerate_shapes_give_the_oracle_vertices():
             {"h0": Matrix.from_rows([[1, 2]]), "hbar0": Matrix.from_rows([[2], [-1]])},
         ),
     ]
+
+
+def test_degenerate_shapes_give_the_oracle_vertices():
+    cases = _degenerate_cases()
     got = [check_relations(x) for x in cases]
     assert got == [violated_vertices(x) for x in cases]
     assert got == [[], [], [], [0, 1], [], [1, 2], [0]]
@@ -92,7 +96,39 @@ def test_the_check_builds_no_matrix(valid_corpus, monkeypatch):
         built.append(args)
         original(self, *args)
 
+    unchecked = [_fresh(x) for x in valid_corpus[::7]]
     monkeypatch.setattr(Matrix, "__init__", counting_init)
-    for x in valid_corpus[::7]:
+    for x in unchecked:
         check_relations(x)
     assert built == []
+
+
+def _fresh(x: QuiverRep) -> QuiverRep:
+    """An equal representation that no check has seen."""
+    return QuiverRep(x.window, x.dims, x.maps)
+
+
+def _module_of(x: QuiverRep) -> EuclideanModule:
+    """The module of x's arrow maps through the dictionary, built unchecked."""
+    arrows = x.window.arrow_indices()
+    p_plus = {i: x.map(Arrow(i)) for i in arrows}
+    p_minus = {i + 1: x.map(Arrow(i, reverse=True)) for i in arrows}
+    return EuclideanModule(x.dims, p_plus, p_minus)
+
+
+def test_the_kept_verdict_is_that_of_a_fresh_copy(valid_corpus):
+    rng = random.Random(47)
+    violating = []
+    for x in valid_corpus[::3]:
+        names = [name for name, m in x.maps.items() if m.rows and m.cols]
+        if names:
+            name = rng.choice(names)
+            violating.append(_with_entry_changed(x, name, rng.randrange(len(x.maps[name].entries())), 1))
+    reps = valid_corpus + violating + _degenerate_cases()
+    assert sum(bool(violated_vertices(x)) for x in violating) >= 20
+    for x in reps:
+        kept = check_relations(x)
+        assert check_relations(x) == kept == check_relations(_fresh(x)) == violated_vertices(x)
+        m = _module_of(x)
+        kept = validate(m)
+        assert validate(m) == kept == validate(_module_of(x))
