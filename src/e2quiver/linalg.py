@@ -266,24 +266,29 @@ class Matrix:
 # Elimination core.  Rows are kept as sparse {column: value} dicts of nonzero
 # entries: the intertwiner systems assembled elsewhere are very sparse.
 #
-# The core eliminates fraction-free, on integer rows (in the spirit of
-# Bareiss 1968).  Each row is first scaled to a primitive integer row (no
-# denominators, entries without a common factor).  Clearing an entry f with
-# a pivot p is row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f),
-# followed by division by the row's content, so entries stay small integers
-# and no Fraction is built during elimination.  Echelon clears each new row
-# at its leading column until it vanishes or leads where no kept row does
-# (the forward phase, all that rank needs); _reduce then clears the entries
-# above each pivot, last pivot first.  Kernels and solutions read each entry
-# they need off the integer reduced rows, as integers over the lcm of the
-# pivot entries they divide by (_kernel, _particular).  The reduced row
-# echelon form is unique, so this gives exactly what elimination over
-# Fraction gives.  Only this module knows the row format: primitive rows
-# with a positive leading entry.
+# The core eliminates fraction-free (in the spirit of Bareiss 1968), on rows
+# scaled to integers by the lcm of their denominators.  Clearing an entry f
+# with a pivot p is row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f),
+# so no Fraction is built.  A row is made primitive (no common factor, a
+# positive leading entry) once, when it is kept or fully reduced: a clearing
+# only rescales the row's direction, so rows, pivots, kernels and solutions
+# are those of making it primitive after every clearing.  A working row is
+# l times its primitive form, and l divides the entry being cleared, so
+# taking the content before clearing an entry of over _GROWTH_BITS bits
+# keeps l < 2^_GROWTH_BITS.  Echelon clears each new row at its leading
+# column until it vanishes or leads where no kept row does (the forward
+# phase, all that rank needs); _reduce then clears the entries above each
+# pivot, last row first.  Kernels and solutions read each entry they need
+# off the integer reduced rows, as integers over the lcm of the pivot
+# entries they divide by (_kernel, _particular).  The reduced row echelon
+# form is unique, so this gives exactly what elimination over Fraction
+# gives.  Only this module knows the row format: primitive rows with a
+# positive leading entry.
 
 SparseRow = dict[int, Union[Fraction, int]]
 _IntRow = dict[int, int]
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+_GROWTH_BITS = 128
 
 
 def scale_to_ints(values: Iterable[Union[Fraction, int]]) -> tuple[list[int], int]:
@@ -301,23 +306,17 @@ def _to_sparse_rows(m: Matrix) -> list[_IntRow]:
     return [{j: v for j, v in enumerate(row) if v} for row in m._rows()]
 
 
-def _primitive(row: SparseRow) -> _IntRow:
-    """A nonzero rational row scaled to integers with no common factor."""
-    den = lcm(*map(_denominator, row.values()))
-    if den == 1:
-        out = dict(zip(row, map(_numerator, row.values())))
-    else:
-        out = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-    g = gcd(*out.values())
-    if g != 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
+def _divided(row: _IntRow, g: int) -> _IntRow:
+    """row divided by g, which divides every entry (row itself when g is 1)."""
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _eliminate(row: _IntRow, col: int, piv: _IntRow, p: int) -> _IntRow:
-    """row with its entry in col cleared by piv, whose entry there is p > 0,
-    made primitive again.  Updates row in place when p divides that entry."""
-    f = row[col]
+def _clear(row: _IntRow, col: int, piv: _IntRow) -> _IntRow:
+    """row with its entry in col cleared by piv, up to a positive factor.
+    Updates row in place when the pivot entry divides that entry."""
+    if row[col].bit_length() > _GROWTH_BITS:
+        row = _divided(row, gcd(*row.values()))
+    f, p = row[col], piv[col]
     g = gcd(p, f)
     a, b = p // g, f // g
     if a != 1:
@@ -328,9 +327,6 @@ def _eliminate(row: _IntRow, col: int, piv: _IntRow, p: int) -> _IntRow:
             row[c] = nv
         else:
             del row[c]
-    content = gcd(*row.values())
-    if content > 1:
-        row = {c: v // content for c, v in row.items()}
     return row
 
 
@@ -340,12 +336,14 @@ class Echelon:
     (MeatAxe-style closure under a set of maps).
 
     Each kept row is primitive with a positive leading entry and is stored
-    under its leading column.  A new row is reduced by the kept row at its
+    under its leading column.  A new row is cleared by the kept row at its
     current leading column until it vanishes (it lies in the span) or leads
-    at a column no kept row leads at (it is kept).  Clearing its leading
-    entry leaves only later columns, so each kept row is used at most once.
-    Kept rows never change: rows added in order give the echelon form of
-    elimination column by column with the first remaining row as pivot.
+    at a column no kept row leads at; only then is it made primitive (the
+    same row as when made so after every clearing, see the comment above)
+    and kept.  Clearing its leading entry leaves only later columns, so each
+    kept row is used at most once.  Kept rows never change: rows added in
+    order give the echelon form of elimination column by column with the
+    first remaining row as pivot.
     """
 
     __slots__ = ("_rows",)
@@ -357,19 +355,22 @@ class Echelon:
 
     def add(self, row: SparseRow) -> bool:
         """Keep row if it is independent of the rows kept so far; whether it
-        was kept.  The row holds nonzero entries only."""
+        was kept.  The row holds nonzero entries only; it is not changed."""
         if not row:
             return False
-        row = _primitive(row)
+        den = lcm(*map(_denominator, row.values()))
+        if den == 1:
+            row = dict(zip(row, map(_numerator, row.values())))
+        else:
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         while row:
             col = min(row)
             piv = self._rows.get(col)
             if piv is None:
-                if row[col] < 0:
-                    row = {c: -v for c, v in row.items()}
-                self._rows[col] = row
+                g = gcd(*row.values())
+                self._rows[col] = _divided(row, -g if row[col] < 0 else g)
                 return True
-            row = _eliminate(row, col, piv, piv[col])
+            row = _clear(row, col, piv)
         return False
 
     def form(self) -> tuple[list[_IntRow], list[int]]:
@@ -383,14 +384,13 @@ def _reduce(rows: Iterable[SparseRow]) -> tuple[list[_IntRow], list[int]]:
     """Integer reduced row echelon form: the echelon rows of rows with
     zeros cleared into the later pivot columns as well, and its pivots."""
     reduced, pivots = Echelon(rows).form()
-    # back-substitution, last pivot first, so that each pivot row used is
-    # already zero in the later pivot columns
-    for k in range(len(reduced) - 1, 0, -1):
-        piv, col = reduced[k], pivots[k]
-        p = piv[col]
-        for i in range(k):
-            if col in reduced[i]:
-                reduced[i] = _eliminate(reduced[i], col, piv, p)
+    # back-substitution, last row first: the rows that clear a row are already reduced
+    for i in range(len(reduced) - 2, -1, -1):
+        row = reduced[i]
+        for piv, col in zip(reduced[i + 1 :], pivots[i + 1 :]):
+            if col in row:
+                row = _clear(row, col, piv)
+        reduced[i] = _divided(row, gcd(*row.values()))
     return reduced, pivots
 
 

@@ -827,16 +827,16 @@ def is_isomorphic(
        seeded Monte Carlo draws (one-sided error: True is a witness);
     4. unless `exhaustive`, the first _WITNESS_DRAWS draws (or the single
        candidate when dim Hom = 1): an invertible one is the answer;
-    5. the rank fast paths: False unless dim Hom(y, x), dim End(x) and
-       dim End(y), read as ranks (hom_dim), agree as an isomorphism
-       requires;
+    5. the rank fast paths: False unless dim End(x), dim Hom(y, x) and
+       dim End(y), read as ranks (hom_dim), all equal dim Hom(x, y), as an
+       isomorphism requires (Hom(x, y) is then isomorphic to End(x));
     6. the rest of the same draws.
 
-    A False from step 1, 2 or 5, or from dim Hom(x, y) = 0, is certain; a
-    later one is a failed search, certain only on a grid or when
-    dim Hom(x, y) = 1.  The verdicts are those of steps 1, 2 and 5 followed
-    by the whole search: a witness proves x and y isomorphic, so step 5
-    would have passed and the search would have stopped at that draw.
+    A False from step 1, 2 or 5 (dim Hom(x, y) != dim End(x) among them) or
+    from dim Hom(x, y) = 0 is certain; a later one is a failed search,
+    certain only on a grid or when dim Hom(x, y) = 1.  The verdicts are those
+    of steps 1, 2 and 5 followed by the whole search: a witness proves x and
+    y isomorphic, so step 5 would have passed and the search stopped there.
     """
     if x.dims != y.dims:
         return False
@@ -852,7 +852,7 @@ def is_isomorphic(
     attempts = _attempts(layout, echelon, pivots, seed=seed, trials=trials, exhaustive=exhaustive)
     if not exhaustive and any(itertools.islice(attempts, _WITNESS_DRAWS)):
         return True
-    if dim != hom_dim(y, x) or hom_dim(x, x) != hom_dim(y, y):
+    if dim != hom_dim(x, x) or dim != hom_dim(y, x) or dim != hom_dim(y, y):
         return False
     return any(attempts)
 

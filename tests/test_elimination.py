@@ -7,17 +7,25 @@ over ``Fraction``, one row operation at a time, with the same pivot policy;
 its read-offs are the ones ``linalg`` used before it had an integer core.
 The reduced row echelon form is unique, so every elimination entry point
 must give exactly the reference's answer.  ``sympy`` supplies an independent
-check of rank, pivot columns, nullspace and solve.
+check of rank, pivot columns, nullspace and solve.  ``linalg`` takes a row's
+content once, when it keeps or finishes reducing the row; the core that
+took it after every clearing step (``elimination_oracle``) must give the
+same kept and reduced rows, row by row.
 """
 
+import inspect
 import random
+import sys
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elimination_oracle
 from e2quiver import linalg
+from e2quiver.euclid import to_quiver
 from e2quiver.linalg import (
     Matrix,
     column_space_basis,
@@ -31,6 +39,7 @@ from e2quiver.linalg import (
     sparse_kernel,
     sparse_rank,
 )
+from e2quiver.preproj import _HomLayout, apply_gv, direct_sum, random_gv
 
 # derandomized, so that a tier-1 run is repeatable
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -246,6 +255,87 @@ def test_back_substitute_solves_the_echelon_system(system, seed):
     for row in augmented:
         value = sum((a * v[j] for j, a in row.items() if j < ncols), _ZERO)
         assert value == row.get(ncols, _ZERO)
+
+
+# --- the content taken once, against the per-step oracle ------------------------
+
+
+def assert_rows_match_oracle(rows):
+    """The kept rows and pivots of Echelon, and the rows of _reduce, are
+    the per-step oracle's; the rows handed in are not changed."""
+    before = [dict(r) for r in rows]
+    assert linalg.Echelon(rows).form() == elimination_oracle.Echelon(rows).form()
+    assert linalg._reduce(rows) == elimination_oracle.reduce(rows)
+    assert rows == before
+
+
+@EXAMPLES
+@given(systems())
+def test_rows_match_the_per_step_oracle(system):
+    assert_rows_match_oracle(system[0])
+
+
+def _hidden_sums(thin16, rng, count, k=4):
+    """(x, y) pairs of seeded conjugates of one sum of k thin
+    representatives, its summands in two orders."""
+    pairs = []
+    for _ in range(count):
+        parts = rng.sample(thin16, k)
+        x = reduce(direct_sum, parts)
+        rng.shuffle(parts)
+        y = reduce(direct_sum, parts)
+        pairs.append((apply_gv(x, random_gv(x, rng)), apply_gv(y, random_gv(y, rng))))
+    return pairs
+
+
+def test_hom_and_end_systems_match_the_per_step_oracle(thin16, young_corpus):
+    young = [to_quiver(gs.module) for _, gs in young_corpus]
+    pairs = list(zip(thin16, thin16[1:] + thin16[:1])) + list(zip(young[::3], young[1::3]))
+    pairs += _hidden_sums(thin16, random.Random(23), 3)
+    for x, y in pairs:
+        assert_rows_match_oracle(_HomLayout(x, y).intertwiner_rows())
+        assert_rows_match_oracle(_HomLayout(x, x).intertwiner_rows())
+
+
+def _guard_runs(call):
+    """call()'s result and how often it ran the growth guard, the content
+    taken in linalg._clear before a clearing of an over-long entry."""
+    lines, start = inspect.getsourcelines(linalg._clear)
+    guard = start + 1 + next(i for i, line in enumerate(lines) if line.strip().startswith("if") and "_GROWTH_BITS" in line)
+    code, runs = linalg._clear.__code__, []
+
+    def line(frame, event, arg):
+        if event == "line" and frame.f_lineno == guard:
+            runs.append(1)
+        return line
+
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(None)
+    return result, len(runs)
+
+
+def test_growth_guard_runs_and_keeps_the_oracle_rows():
+    # A row meets a chain of 100 pivots of leading entry 2: clearing its
+    # entry with {k: 2, k + 1: 3} leaves 3^(k + 1) at column k + 1, so it
+    # passes 2^_GROWTH_BITS and the guard takes its content.
+    chain = [{k: 2, k + 1: 3} for k in range(100)] + [{0: 1}]
+    assert 3**100 > 2**linalg._GROWTH_BITS
+    form, runs = _guard_runs(lambda: linalg.Echelon(chain).form())
+    assert runs and form == elimination_oracle.Echelon(chain).form()
+    assert form[0][-1] == {100: 1}
+    # An upper triangular system, diagonal 30 and ones above, with a
+    # column to the right: already in echelon form, so only the
+    # back-substitution of _reduce clears, and it runs the guard.
+    n = 40
+    triangular = [{i: 30, **{j: 1 for j in range(i + 1, n)}, n: i + 1} for i in range(n)]
+    assert _guard_runs(lambda: linalg.Echelon(triangular))[1] == 0
+    reduced, runs = _guard_runs(lambda: linalg._reduce(triangular))
+    assert runs and reduced == elimination_oracle.reduce(triangular)
+    assert_rows_match_oracle(chain)
+    assert_rows_match_oracle(triangular)
 
 
 def test_inverse_rejects_non_square():

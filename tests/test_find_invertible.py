@@ -527,6 +527,34 @@ def test_exhaustive_fast_paths_still_come_before_the_grid_check():
         reference_is_isomorphic(x, x)(**grid)
 
 
+def test_hom_unlike_end_is_a_certain_false_before_the_search(monkeypatch):
+    # equal dimension vectors and arrow ranks on [0, 3], dim Hom 2 both
+    # ways, but dim End(x) = 3: x is not isomorphic to y, and step 5 says
+    # so after the witness draws, with no further draw
+    def young(p, a):
+        return to_quiver(young_module(Partition(p), a).module)
+
+    x = direct_sum(young((1,), 1), young((2, 2, 1), 2))
+    y = direct_sum(young((1, 1), 1), young((2, 2), 2))
+    assert x.window == y.window == Window(0, 3)
+    assert x.dims == y.dims and _arrow_ranks(x) == _arrow_ranks(y)
+    assert hom_dim(x, y) == hom_dim(y, x) == 2 and hom_dim(x, x) == 3
+    drawn = []
+
+    def counted(*args):
+        for candidate in _solutions(*args):
+            drawn.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(preproj, "_solutions", counted)
+    for seed in SEEDS:
+        for trials in (0, 1, 20):
+            drawn.clear()
+            assert is_isomorphic(x, y, seed=seed, trials=trials) is False
+            assert len(drawn) < _WITNESS_DRAWS + 1
+            assert reference_is_isomorphic(x, y)(seed=seed, trials=trials, exhaustive=False) is False
+
+
 # --- the arrow-rank fingerprint --------------------------------------------
 
 

@@ -20,7 +20,6 @@ import pytest
 from e2quiver.euclid import to_quiver
 from e2quiver.linalg import (
     Matrix,
-    _primitive,
     inverse,
     kernel_basis,
     scale_to_ints,
@@ -47,6 +46,7 @@ from e2quiver.preproj import (
 )
 from e2quiver.quiver import DimensionVector, double_arrows
 import fraction_polys
+from elimination_oracle import _primitive
 from graded_oracles import _scaled_blocks
 
 ZERO = Fraction(0)
