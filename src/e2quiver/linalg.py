@@ -9,22 +9,24 @@ results.  Internal callers read the integers with ``Matrix.ints`` and
 build matrices from integers.  There is no floating point and no
 tolerance anywhere in this package.  Matrices are small (total dimensions
 of the order of tens), so the elimination routines favour exactness and
-determinism over asymptotics.  One elimination core serves rank, pivots,
-kernels, solving and spinning: ``Echelon``, fraction-free Gaussian
-elimination on primitive integer rows, which keeps each row that is
-independent of the rows before it.  Rank and pivot columns are read off
-its echelon form alone, with no back-substitution and no division.
-Kernels and solutions are read off the integer reduced row echelon form
-that back-substitution of its rows gives (pivot-normalized kernel bases,
-solutions with free variables zero), as integers over the lcm of the
-pivot entries they divide by; no rational echelon form is formed.  The
-invertibility search of ``preproj`` back-substitutes one integer vector at
-a time from the echelon form instead (``back_substitute``).  (``preproj``
-ranks its small dense integer blocks, the arrow maps and the
-invertibility candidates, by its own Bareiss elimination; the public
-``rank`` stays on this core, which large sparse systems need.)  The sparse
-entry points take rows of Fractions, of Python ints or of both: a
-homogeneous system already in integers is handed over as it is.
+determinism over asymptotics.  There is one elimination core per input
+format.  A dense ``Matrix`` goes to ``_bareiss``, fraction-free Bareiss
+elimination of its integer rows: ``rank``, ``pivot_columns`` and
+``column_space_basis``, and the invertibility test of ``preproj``'s
+integer candidate blocks.  Sparse rows go to ``Echelon``, fraction-free
+Gaussian elimination on primitive integer rows, which keeps each row that
+is independent of the rows before it: rank, kernels, solving and
+spinning.  Ranks are read off its echelon form alone, with no
+back-substitution and no division.  Kernels and solutions are read off
+the integer reduced row echelon form that back-substitution of its rows
+gives (pivot-normalized kernel bases, solutions with free variables
+zero), as integers over the lcm of the pivot entries they divide by; no
+rational echelon form is formed.  The invertibility search of ``preproj``
+back-substitutes one integer vector at a time from the echelon form
+instead (``back_substitute``).  The sparse entry points take rows of
+Fractions, of Python ints or of both: a homogeneous system already in
+integers is handed over as it is.  Kernels and solutions of a dense
+``Matrix`` go through the sparse core too.
 
 Floats are rejected on input so a rounding error can never sneak in.
 """
@@ -35,7 +37,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -491,15 +493,38 @@ def sparse_affine_solve(
     return (None if x is None else x.col(0)), [_fractions(*v) for v in _kernel(reduced, pivots, ncols)]
 
 
+def _bareiss(rows: list[list[int]]) -> Iterator[bool]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of integer
+    rows of one length (reused): whether each column in turn has a pivot,
+    up to the last column or the last row, so the rank is the number of
+    pivots.  After each pivot every entry left is a minor of the rows, in a
+    changed order, on the pivot columns so far and its own column, so the
+    division by the previous pivot is exact.  A column with no nonzero
+    entry left has no pivot and is dropped, which keeps that so."""
+    previous = 1
+    while rows and rows[0]:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            rows = [row[1:] for row in rows]
+            yield False
+            continue
+        pivot = rows.pop(i)
+        p = pivot[0]
+        rows = [[(p * a - row[0] * b) // previous for a, b in zip(row[1:], pivot[1:])] for row in rows]
+        previous = p
+        yield True
+
+
 def rank(m: Matrix) -> int:
-    """Rank over the rationals."""
-    return sparse_rank(_to_sparse_rows(m), m.cols)
+    """Rank over the rationals: the number of pivots _bareiss finds in m's
+    integer rows."""
+    return sum(_bareiss(m._rows()))
 
 
 def pivot_columns(m: Matrix) -> list[int]:
-    """Pivot columns of the reduced echelon form, ascending; the forward
-    elimination already finds them."""
-    return Echelon(_to_sparse_rows(m)).form()[1]
+    """Pivot columns of the reduced echelon form, ascending: the columns
+    in which _bareiss finds a pivot."""
+    return [j for j, pivot in enumerate(_bareiss(m._rows())) if pivot]
 
 
 def column_space_basis(m: Matrix) -> Matrix:

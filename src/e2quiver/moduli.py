@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .euclid import EuclideanModule
 # rank is unused here, but bench/test_bench.py checks that its tracer rewraps moduli.rank
-from .linalg import Echelon, IntVector, Matrix, SparseRow, Vector, _augment, _kernel, _particular, _reduce, frac, rank, scale_to_ints, vector
+from .linalg import Echelon, IntVector, Matrix, SparseRow, Vector, _augment, frac, rank, scale_to_ints, sparse_affine_solve, vector
 from .preproj import (
     GradedMap,
     QuiverRep,
@@ -372,10 +372,9 @@ def framed_equivalence_space(
     None when the system is inconsistent.
     """
     layout, rows, rhs = _framed_system(p, q)
-    reduced, pivots = _reduce(_augment(rows, layout.size, ((v,) for v in rhs)))
-    particular = _particular(reduced, pivots, layout.size, 1)
-    kernel = [layout.unvec(v) for v in _kernel(reduced, pivots, layout.size)]
-    return (None if particular is None else layout.unvec(particular.ints())), kernel
+    particular, kernel = sparse_affine_solve(rows, rhs, layout.size)
+    maps = [layout.unvec(scale_to_ints(v)) for v in kernel]
+    return (None if particular is None else layout.unvec(scale_to_ints(particular))), maps
 
 
 def framed_equivalent(

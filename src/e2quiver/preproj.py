@@ -18,13 +18,14 @@ and their integer roots, found p-adically with no size cap.
 
 Results are exact rationals, and the inner loops run on Python ints, the
 one number format of ``linalg.Matrix``: integers over one denominator, read
-with ``Matrix.ints``.  The relation check compares path products
-cross-multiplied by their denominators, and the intertwiner rows of the Hom
-system are integer rows.  Hom keeps its kernel vectors as integers over a
-denominator, so the trace pairing under ``decompose`` rescales nothing.  A
-split candidate phi comes as the integer map D phi, one D for all weight
-spaces, and every polynomial of the split is a monic integer polynomial of
-D phi, whose kernels ker f_i(D phi) are the components.  One integer
+with ``Matrix.ints``.  This module keeps no matrix arithmetic of its own:
+the relation check compares ``Matrix`` products, and every elimination is
+``linalg``'s.  The intertwiner rows of the Hom system are integer rows.
+Hom keeps its kernel vectors as integers over a denominator, so the trace
+pairing under ``decompose`` rescales nothing.  A split candidate phi comes
+as the integer map D phi, one D for all weight spaces, and every
+polynomial of the split is a monic integer polynomial of D phi, whose
+kernels ker f_i(D phi) are the components.  One integer
 inverse per weight space gives the coordinates along every component, for
 both the projection and the restriction, which are integer products.
 
@@ -35,14 +36,14 @@ one-sided error) otherwise, with an exhaustive grid mode for small
 instances.  No spanning maps are built: the search keeps the integer
 echelon form of the system (``linalg.Echelon``), makes each candidate by
 one fraction-free back-substitution (``linalg.back_substitute``), and
-tests its integer blocks by Bareiss elimination.  The isomorphism test
-first compares the ranks of the arrow maps, a base-change invariant whose
-mismatch is a certain False with no Hom elimination; it separates sums of
-thin indecomposables that differ in a summand.  Each rank comes from the
-same Bareiss elimination, on the map's integer entries, and the
-comparison stops at the first arrow whose ranks differ.  Then it looks for
-a witness: a few draws run before the Hom dimensions it compares, ranks of
-the intertwiner system (hom_dim).
+tests its integer blocks by Bareiss elimination (``linalg._bareiss``).
+The isomorphism test first compares the ranks of the arrow maps
+(``linalg.rank``, the same Bareiss elimination), a base-change invariant
+whose mismatch is a certain False with no Hom elimination; it separates
+sums of thin indecomposables that differ in a summand, and it stops at
+the first arrow whose ranks differ.  Then it looks for a witness: a few
+draws run before the Hom dimensions it compares, ranks of the intertwiner
+system (hom_dim).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from functools import cached_property, reduce
 from math import gcd, isqrt, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .linalg import (
     Echelon,
@@ -64,10 +65,11 @@ from .linalg import (
     Matrix,
     SparseRow,
     Vector,
+    _bareiss,
     back_substitute,
     block_diag,
     inverse,
-    rank,  # unused here, but bench/test_bench.py checks that its tracer rewraps preproj.rank
+    rank,
     shown,
     sparse_int_kernel,
     sparse_kernel,
@@ -205,13 +207,6 @@ class QuiverRep(Frozen):
         return cls(window, dims, maps)
 
 
-def _path(first: IntVector, second: IntVector, n: int, m: int) -> IntVector:
-    """second * first for first: n -> m and second: m -> n, all row-major ints over a denominator."""
-    (a, da), (b, db) = first, second
-    cols = [a[c::n] for c in range(n)]
-    return [sum(map(mul, b[r * m : r * m + m], col)) for r in range(n) for col in cols], da * db
-
-
 def check_relations(x: QuiverRep) -> list[int]:
     """Vertices where the preprojective relation fails; empty iff x is a
     module over the preprojective algebra.
@@ -230,20 +225,18 @@ def _relation_violations(x: QuiverRep) -> list[int]:
     """check_relations computed afresh.
 
     The relation at i is hbar_i h_i - h_{i-1} hbar_{i-1}, each term dropped
-    at its window end.  It runs on each arrow map's integers over its
-    denominator (Matrix.ints), with no Matrix built, and the two paths at a
-    vertex are compared cross-multiplied by their denominators.
+    at its window end.  The two paths at a vertex are Matrix products,
+    compared exactly: a Matrix is stored in lowest terms.
     """
-    w, scaled = x.window, {name: m.ints() for name, m in x.maps.items()}
+    w, maps = x.window, x.maps
     violated = []
     for i in w.vertices():
-        n = x.dim(i)
-        p, dp = q, dq = [0] * n * n, 1
+        p = q = Matrix.zero(x.dim(i), x.dim(i))
         if i < w.b:
-            p, dp = _path(scaled[f"h{i}"], scaled[f"hbar{i}"], n, x.dim(i + 1))
+            p = maps[f"hbar{i}"] * maps[f"h{i}"]
         if i > w.a:
-            q, dq = _path(scaled[f"hbar{i - 1}"], scaled[f"h{i - 1}"], n, x.dim(i - 1))
-        if any(u * dq != v * dp for u, v in zip(p, q)):
+            q = maps[f"h{i - 1}"] * maps[f"hbar{i - 1}"]
+        if p != q:
             violated.append(i)
     return violated
 
@@ -868,18 +861,9 @@ def _same_arrow_ranks(x: QuiverRep, y: QuiverRep) -> bool:
     on it whatever their windows.  Arrow by arrow, up to the first one
     whose ranks differ."""
     for name in itertools.chain(x.maps, (name for name in y.maps if name not in x.maps)):
-        if _rank(x.maps.get(name, _NO_MAP)) != _rank(y.maps.get(name, _NO_MAP)):
+        if rank(x.maps.get(name, _NO_MAP)) != rank(y.maps.get(name, _NO_MAP)):
             return False
     return True
-
-
-def _rank(m: Matrix) -> int:
-    """The rank of m: the number of pivots _bareiss finds in its integer
-    rows (Matrix.ints)."""
-    if not m.rows or not m.cols:
-        return 0
-    entries, n = m.ints()[0], m.cols
-    return sum(_bareiss([entries[i : i + n] for i in range(0, len(entries), n)]))
 
 
 # Draws that is_isomorphic makes before it computes the three Hom ranks.  On
@@ -932,7 +916,7 @@ def _attempts(
         invertible = w is not None
         for rows, cols, o, k in stages if invertible else ():
             w = back_substitute(rows, cols, w)
-            if not (w[o] if k == 1 else _invertible([[w[o + r * k : o + r * k + k] for r in range(k)]])):
+            if not (w[o] if k == 1 else all(_bareiss([w[o + r * k : o + r * k + k] for r in range(k)]))):
                 invertible = False
                 break
         yield invertible
@@ -962,39 +946,6 @@ def _solutions(
         for col, a in zip(free, c):
             w[col] = a
         yield c, (w if affine or any(c) else None)
-
-
-def _invertible(blocks: Iterable[list[list[int]]]) -> bool:
-    """Whether every square integer block, a list of its rows (reused), is
-    nonsingular: _bareiss finds a pivot in each of its columns.  The blocks
-    are tested in order, up to the first singular one, and a block up to
-    its first column with no pivot."""
-    for rows in blocks:
-        if not all(_bareiss(rows)):
-            return False
-    return True
-
-
-def _bareiss(rows: list[list[int]]) -> Iterator[bool]:
-    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of integer
-    rows of one length (reused): whether each column in turn has a pivot,
-    up to the last column or the last row, so the rank is the number of
-    pivots.  After each pivot every entry left is a minor of the rows, in a
-    changed order, on the pivot columns so far and its own column, so the
-    division by the previous pivot is exact.  A column with no nonzero
-    entry left has no pivot and is dropped, which keeps that so."""
-    previous = 1
-    while rows and rows[0]:
-        i = next((i for i, row in enumerate(rows) if row[0]), None)
-        if i is None:
-            rows = [row[1:] for row in rows]
-            yield False
-            continue
-        pivot = rows.pop(i)
-        p = pivot[0]
-        rows = [[(p * a - row[0] * b) // previous for a, b in zip(row[1:], pivot[1:])] for row in rows]
-        previous = p
-        yield True
 
 
 def apply_gv(x: QuiverRep, g: GradedMap) -> QuiverRep:

@@ -58,3 +58,13 @@ def test_workload_summary_keeps_wall_clock_and_skips_incomplete_pairs():
     assert s["attempted_runs"]["change"] == {"median": 320.0, "all": [330, 310]}
     rows = ab.table({"w": s}).splitlines()
     assert "| w (2 pairs) | `items_per_s` | 10.5 [10.25, 10.75] | 12.5 [12.25, 12.75] | 1.190 | 2/2 | yes |" in rows
+
+
+def test_src_lines_counts_every_python_file_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3")  # no final newline
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("nor\nthis\n")
+    assert ab.src_lines(tmp_path) == 4

@@ -1,12 +1,13 @@
-"""preproj's Bareiss elimination against the sparse elimination core.
+"""linalg's dense Bareiss elimination against the sparse elimination core.
 
-``preproj._bareiss`` is one fraction-free elimination with two callers: the
-arrow-rank fingerprint ranks each arrow map with it (``_rank``), and the
-invertibility search tests its integer candidate blocks with it
-(``_invertible``).  ``linalg.sparse_rank``, the independent sparse core, is
-the oracle for both.  ``is_isomorphic`` compares the arrow ranks of its two
-sides arrow by arrow (``_same_arrow_ranks``); the oracle for that is the
-comparison of whole dicts of nonzero ranks it made before
+``linalg._bareiss`` is the elimination of every dense ``Matrix``: ``rank``,
+``pivot_columns`` and ``column_space_basis`` read it, the arrow-rank
+fingerprint of ``is_isomorphic`` ranks each arrow map with ``rank``, and the
+invertibility search tests its integer candidate blocks with ``_bareiss``
+itself.  The sparse core (``linalg.sparse_rank`` and ``linalg.Echelon``) is
+the oracle for all of them.  ``is_isomorphic`` compares the arrow ranks of
+its two sides arrow by arrow (``_same_arrow_ranks``); the oracle for that is
+the comparison of whole dicts of nonzero ranks it made before
 (``arrow_ranks._arrow_ranks``).
 """
 
@@ -15,11 +16,11 @@ import random
 from fractions import Fraction
 
 from e2quiver import preproj
-from e2quiver.linalg import Matrix, sparse_rank
+from e2quiver.linalg import Echelon, Matrix, _bareiss, column_space_basis, pivot_columns, rank
 from e2quiver.moduli import enumerate_thin_indecomposables
-from e2quiver.preproj import _invertible, _rank, _same_arrow_ranks, apply_gv, random_gv
+from e2quiver.preproj import _same_arrow_ranks, apply_gv, random_gv
 from e2quiver.quiver import Window
-from arrow_ranks import _arrow_ranks
+from arrow_ranks import _arrow_ranks, _sparse_rank
 
 
 def _low_rank(rng, rows, cols, k, big, denominators=(1, 1, 2, 3, 7)):
@@ -42,8 +43,25 @@ def _low_rank(rng, rows, cols, k, big, denominators=(1, 1, 2, 3, 7)):
     return Matrix(rows, cols, [v for r in m for v in r])
 
 
-def _sparse_rank(m: Matrix) -> int:
-    return sparse_rank([{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)], m.cols)
+def _sparse(rng, rows, cols, nonzeros):
+    """A seeded rows x cols integer matrix with at most nonzeros entries
+    that are not zero."""
+    entries = [0] * (rows * cols)
+    for _ in range(nonzeros):
+        entries[rng.randrange(rows * cols)] = rng.choice((-2, -1, 1, 3))
+    return Matrix(rows, cols, entries)
+
+
+def _assert_matches_the_sparse_core(m):
+    """rank, pivot_columns and column_space_basis against Echelon on m's rows;
+    the rank."""
+    pivots = Echelon({j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)).form()[1]
+    assert rank(m) == len(pivots), m
+    assert pivot_columns(m) == pivots, m
+    basis = column_space_basis(m)
+    assert basis.shape == (m.rows, len(pivots))
+    assert [basis.col(c) for c in range(basis.cols)] == [m.col(j) for j in pivots]
+    return len(pivots)
 
 
 def test_rank_matches_the_sparse_core():
@@ -52,12 +70,16 @@ def test_rank_matches_the_sparse_core():
     for rows, cols in itertools.product(range(7), repeat=2):
         for k, big in itertools.product(range(min(rows, cols) + 1), (False, True, True)):
             m = _low_rank(rng, rows, cols, k, big)
-            expected = _sparse_rank(m)
-            assert _rank(m) == expected, m
-            seen.add((min(rows, cols), expected))
+            seen.add((min(rows, cols), _assert_matches_the_sparse_core(m)))
     # every rank from 0 to full, on every short side from 0 to 6
     assert {(short, r) for short in range(7) for r in (0, short)} <= seen
     assert len(seen) >= 20
+    # empty, all-zero, and wide or tall sparse shapes
+    shapes = [Matrix.zero(0, 5), Matrix.zero(5, 0), Matrix.zero(0, 0), Matrix.zero(4, 4), Matrix.zero(3, 40)]
+    shapes += [_sparse(rng, r, c, n) for r, c in ((3, 40), (40, 3), (5, 40)) for n in (1, 3, 6, 12)]
+    ranks = [_assert_matches_the_sparse_core(m) for m in shapes]
+    # the sparse shapes meet ranks from 1 up to full on their short side
+    assert ranks[:5] == [0] * 5 and set(ranks[5:]) == {1, 2, 3, 5}
 
 
 def test_invertible_exactly_when_every_block_has_full_rank():
@@ -75,7 +97,7 @@ def test_invertible_exactly_when_every_block_has_full_rank():
             blocks.append(m)
         expected = all(_sparse_rank(m) == m.rows for m in blocks)
         rows = [[[int(v) for v in m.row(i)] for i in range(m.rows)] for m in blocks]
-        assert _invertible(rows) is expected, blocks
+        assert all(all(_bareiss(block)) for block in rows) is expected, blocks
         verdicts.append(expected)
     assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
@@ -91,13 +113,13 @@ def test_lazy_arrow_comparison_matches_the_rank_dicts(thin16, monkeypatch):
     short, long = enumerate_thin_indecomposables(Window(0, 1)), enumerate_thin_indecomposables(Window(0, 2))
     oracle = {id(x): _arrow_ranks(x) for x in thin16 + hidden + left_wide + right_wide + short + long}
     calls = []
-    original = preproj._rank
+    original = preproj.rank
 
     def counted(m):
         calls.append(m)
         return original(m)
 
-    monkeypatch.setattr(preproj, "_rank", counted)
+    monkeypatch.setattr(preproj, "rank", counted)
     outcomes = {True: 0, False: 0}
     lazy = 0
     groups = [(thin16, thin16), (hidden, hidden), (thin16, hidden), (left_wide, right_wide)]

@@ -12,7 +12,8 @@ change first when it is even.  Every run
 is kept, a lost or failed one included, and ``BENCH_<name>.json`` at the
 root of the repository is rewritten after each pair, in the schema of the
 other ``BENCH_*.json`` files: ``what``, ``parent``, ``change``, ``command``,
-``seed``, ``host``, ``summary`` and ``runs``.
+``seed``, ``host``, ``summary`` and ``runs``, and ``src_lines``, each
+side's total line count of ``src/**/*.py``.
 
 For each workload and end-to-end metric the summary holds both medians,
 their inclusive quartiles (``statistics.quantiles(n=4,
@@ -22,7 +23,8 @@ the change wins (strictly better in the metric's direction, from
 by more than the parent's q3 - q1.  Beside them it keeps each run's
 wall-clock ``items_per_s``, its run count (``attempted``) and its host
 speed, since the end-to-end rates are scaled to reference seconds.  At the
-end the script prints the summary as a Markdown table.
+end the script prints the summary as a Markdown table, and the two
+``src/`` line counts under it.
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ def table(summary: dict) -> str:
     return "\n".join(lines)
 
 
+def src_lines(checkout: Path) -> int:
+    """The total line count of the Python files under checkout's src/."""
+    return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
 
@@ -202,6 +209,7 @@ def main(argv=None) -> int:
                 "figures of each run record. Written by tools/ab.py."
             ),
         },
+        "src_lines": {who: src_lines(path) for who, path in sides.items()},
         "summary": {},
         "runs": [],
     }
@@ -217,6 +225,7 @@ def main(argv=None) -> int:
             doc["summary"][workload] = summarize_workload([r for r in doc["runs"] if r["workload"] == workload], metrics)
             out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(table(doc["summary"]))
+    print(f"\n`src/` lines: parent {doc['src_lines']['parent']:,}, change {doc['src_lines']['change']:,}")
     return 0
 
 
