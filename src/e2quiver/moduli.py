@@ -27,7 +27,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .euclid import EuclideanModule
+from .euclid import EuclideanModule, to_quiver
 # rank is unused here, but bench/test_bench.py checks that its tracer rewraps moduli.rank
 from .linalg import Echelon, IntVector, Matrix, SparseRow, Vector, _augment, frac, rank, scale_to_ints, sparse_affine_solve, vector
 from .preproj import (
@@ -176,8 +176,9 @@ class FramedPoint(Frozen):
     framing[i] has shape dims(i) x framing_dims(i); zero-shape framings are
     implied.  The relations are enforced here, and they make the
     representation nilpotent (see the module docstring), so every framed
-    point lives in the nilpotent variety without a nilpotency test.  The
-    value is immutable, and framing is a read-only mapping.
+    point lives in the nilpotent variety without a nilpotency test.  No
+    constructor bypasses the check; on a to_quiver image it is a cached
+    read.  The value is immutable, and framing is a read-only mapping.
     """
 
     __slots__ = ("rep", "framing_dims", "framing")
@@ -191,17 +192,6 @@ class FramedPoint(Frozen):
         violated = check_relations(rep)
         if violated:
             raise ValueError(f"relations violated at vertices {violated}")
-        self._frame(rep, framing_dims, framing)
-
-    @classmethod
-    def _of_valid(cls, rep: QuiverRep, framing_dims: DimensionVector, framing: Mapping[int, Matrix]) -> "FramedPoint":
-        """A framed point on a representation already known to satisfy the
-        relations, which are not checked again."""
-        point = cls.__new__(cls)
-        point._frame(rep, framing_dims, framing)
-        return point
-
-    def _frame(self, rep: QuiverRep, framing_dims: DimensionVector, framing: Mapping[int, Matrix] | None) -> None:
         given = dict(framing) if framing else {}
         canonical: dict[int, Matrix] = {}
         keys = set(given) | set(framing_dims.support())
@@ -252,8 +242,6 @@ class FramedPoint(Frozen):
 def framed_point(gs: GeneratorSet) -> FramedPoint:
     """The framed point of a generator set: one framing column per marked
     vector, grouped by weight in listing order."""
-    from .euclid import to_quiver
-
     rep = to_quiver(gs.module)
     framing_dims = gs.framing_dims()
     columns: dict[int, list[Vector]] = {}
@@ -264,8 +252,7 @@ def framed_point(gs: GeneratorSet) -> FramedPoint:
     framing = {
         k: Matrix.from_columns(cols, rows=gs.module.dims[k]) for k, cols in columns.items()
     }
-    # to_quiver has checked the relations
-    return FramedPoint._of_valid(rep, framing_dims, framing)
+    return FramedPoint(rep, framing_dims, framing)
 
 
 def _spin(x: QuiverRep, seed: Iterable[tuple[int, IntVector]]) -> dict[int, list[IntVector]]:
@@ -394,8 +381,6 @@ def framed_equivalent(
     """
     if p.rep.dims != q.rep.dims or p.framing_dims != q.framing_dims:
         return False
-    if p.rep.total_dim == 0:
-        return True
     layout, rows, rhs = _framed_system(p, q)
     echelon, pivots = Echelon(_augment(rows, layout.size, ((v,) for v in rhs))).form()
     if pivots and pivots[-1] == layout.size:  # a pivot in the right-hand side: inconsistent
@@ -407,8 +392,7 @@ def apply_gv_framed(p: FramedPoint, g: GradedMap) -> FramedPoint:
     """Base-change action on framed points: (g . x, (g_i s_i))."""
     rep = apply_gv(p.rep, g)
     framing = {k: g[k] * s for k, s in p.framing.items()}
-    # a base change conjugates each relation value, so none can fail
-    return FramedPoint._of_valid(rep, p.framing_dims, framing)
+    return FramedPoint(rep, p.framing_dims, framing)
 
 
 def nakajima_dim(v: DimensionVector, w: DimensionVector) -> int:

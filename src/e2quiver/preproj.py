@@ -18,9 +18,9 @@ and their integer roots, found p-adically with no size cap.
 
 Results are exact rationals, and the inner loops run on Python ints, the
 one number format of ``linalg.Matrix``: integers over one denominator, read
-with ``Matrix.ints``.  This module keeps no matrix arithmetic of its own:
-the relation check compares ``Matrix`` products, and every elimination is
-``linalg``'s.  The intertwiner rows of the Hom system are integer rows.
+with ``Matrix.ints``.  Every elimination and every ``Matrix`` product is
+``linalg``'s; the split multiplies integer list blocks (``_int_matmul``).
+The intertwiner rows of the Hom system are integer rows.
 Hom keeps its kernel vectors as integers over a denominator, so the trace
 pairing under ``decompose`` rescales nothing.  A split candidate phi comes
 as the integer map D phi, one D for all weight spaces, and every
@@ -264,8 +264,6 @@ def is_nilpotent(x: QuiverRep) -> bool:
     the blocks of A^n are the sums of path evaluations over length-n paths.
     """
     d = x.total_dim
-    if d == 0:
-        return True
     power = total_matrix(x)
     steps = 1
     while steps < d:
@@ -458,8 +456,6 @@ def _poly_trim(p: list[int]) -> list[int]:
 
 
 def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    if not p or not q:
-        return []
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
@@ -752,7 +748,9 @@ def _split_components(x: QuiverRep) -> tuple[str, list[Component] | None]:
 
 def _restrict(x: QuiverRep, component: Component) -> QuiverRep:
     """x restricted to a submodule: each arrow map becomes P_t x_a B_s, since
-    x_a B_s lies in the span of B_t and P_t reads its coordinates there."""
+    x_a B_s lies in the span of B_t and P_t reads its coordinates there.  The
+    contract: at every vertex, B_v is a column basis of the submodule and
+    P_v B_v = I, as for a primary component or (g^{-1}, g) in apply_gv."""
     basis, coords = component
     dims = DimensionVector({v: basis[v].cols for v in x.window.vertices()})
     maps = {
@@ -825,9 +823,9 @@ def is_isomorphic(
        isomorphism requires (Hom(x, y) is then isomorphic to End(x));
     6. the rest of the same draws.
 
-    A False from step 1, 2 or 5 (dim Hom(x, y) != dim End(x) among them) or
-    from dim Hom(x, y) = 0 is certain; a later one is a failed search,
-    certain only on a grid or when dim Hom(x, y) = 1.  The verdicts are those
+    A False from step 1, 2 or 5 is certain (dim Hom(x, y) != dim End(x)
+    among them, dim Hom(x, y) = 0 too, as dim End(x) >= 1); a later one is
+    a failed search, certain only on a grid or when dim Hom(x, y) = 1.  The verdicts are those
     of steps 1, 2 and 5 followed by the whole search: a witness proves x and
     y isomorphic, so step 5 would have passed and the search stopped there.
     """
@@ -840,8 +838,6 @@ def is_isomorphic(
     layout = _HomLayout(x, y)
     echelon, pivots = Echelon(layout.intertwiner_rows()).form()
     dim = layout.size - len(pivots)
-    if dim == 0:
-        return False
     attempts = _attempts(layout, echelon, pivots, seed=seed, trials=trials, exhaustive=exhaustive)
     if not exhaustive and any(itertools.islice(attempts, _WITNESS_DRAWS)):
         return True
@@ -949,20 +945,21 @@ def _solutions(
 
 
 def apply_gv(x: QuiverRep, g: GradedMap) -> QuiverRep:
-    """The base-change action: each arrow map becomes g_target x_a g_source^{-1}."""
+    """The base-change action: each arrow map becomes g_target x_a g_source^{-1},
+    _restrict along (B, P) = (g^{-1}, g).  The image keeps x's relation
+    verdict, since g conjugates the relation value at each vertex."""
     inverses = {}
     for v in x.window.vertices():
         m = g[v]
         if m.shape != (x.dim(v), x.dim(v)):
             raise ValueError(f"group element has wrong shape at weight {v}")
-        inv = inverse(m) if m.rows > 0 else m
+        inv = inverse(m)
         if inv is None:
             raise ValueError(f"group element is singular at weight {v}")
         inverses[v] = inv
-    maps = {}
-    for arrow in double_arrows(x.window):
-        maps[arrow.name] = g[arrow.target] * x.map(arrow) * inverses[arrow.source]
-    return QuiverRep(x.window, x.dims, maps)
+    image = _restrict(x, (inverses, g))
+    image._set(_violated=x._violated)
+    return image
 
 
 def random_gv(x: QuiverRep, rng: random.Random) -> GradedMap:

@@ -68,3 +68,26 @@ def test_src_lines_counts_every_python_file_under_src(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_a.py").write_text("nor\nthis\n")
     assert ab.src_lines(tmp_path) == 4
+
+
+def test_src_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n'
+        "# a comment\n"
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "\n"
+        "    def f(self):\n"
+        '        """Function\n        docstring."""\n'
+        "        x = 1  # code with a comment\n"
+        '        s = """a string\n\nthat is no docstring"""\n'
+        "        return x\n"
+    )
+    (tmp_path / "src" / "pkg" / "b.py").write_text("async def g():\n    'doc'\n    return [\n\n        1,\n    ]")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    # a.py: class, def, x, the three lines of s (a string token spans its blank line), return;
+    # b.py: def and the return's three lines of code (the blank line between brackets holds no token)
+    assert ab.src_code_lines(tmp_path) == 7 + 4
+    assert ab.src_lines(tmp_path) == 16 + 6

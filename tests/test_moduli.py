@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from e2quiver import euclid, moduli, preproj
+from e2quiver import euclid, preproj
 from e2quiver.euclid import EuclideanModule, to_quiver
 from e2quiver.linalg import Matrix
 from e2quiver.moduli import (
@@ -168,18 +168,18 @@ def test_framed_point_requires_nilpotent_relations():
 
 def test_framed_point_checks_the_relations_once(monkeypatch):
     calls = []
+    computed = preproj._relation_violations
 
     def counted(x):
         calls.append(x)
-        return check_relations(x)
+        return computed(x)
 
-    for module in (euclid, moduli):
-        monkeypatch.setattr(module, "check_relations", counted)
+    monkeypatch.setattr(preproj, "_relation_violations", counted)
     point = framed_point(young_module(Partition.of(4, 3, 2, 1), 0))
     assert len(calls) == 1
-    # the constructor still checks, with its message
+    # the constructor still checks, with its message; on point.rep the check is a cached read
     assert FramedPoint(point.rep, point.framing_dims, point.framing) == point
-    assert len(calls) == 2
+    assert len(calls) == 1
     bad = QuiverRep(
         Window(0, 1),
         DimensionVector({0: 1, 1: 1}),
@@ -187,6 +187,7 @@ def test_framed_point_checks_the_relations_once(monkeypatch):
     )
     with pytest.raises(ValueError, match="relations violated"):
         FramedPoint(bad, DimensionVector())
+    assert calls[1:] == [bad]
     # and framed_point rejects an invalid module through to_quiver
     module = EuclideanModule(
         DimensionVector({0: 1, 1: 1}),
@@ -242,20 +243,22 @@ def test_apply_gv_framed_skips_the_relation_check(monkeypatch, young_corpus):
     points = [framed_point(gs) for _, gs in young_corpus[::4]]
     cases = [(p, random_gv(p.rep, rng)) for p in points]
     calls = []
+    computed = preproj._relation_violations
 
     def counted(x):
         calls.append(x)
-        return check_relations(x)
+        return computed(x)
 
-    monkeypatch.setattr(moduli, "check_relations", counted)
+    monkeypatch.setattr(preproj, "_relation_violations", counted)
     moved = [apply_gv_framed(p, g) for p, g in cases]
     assert calls == []
     monkeypatch.undo()
-    # the same point as the checked construction, whose check passes
+    # the same point as the checked construction, whose check passes, also when computed afresh
     for (p, g), q in zip(cases, moved):
         framing = {k: g[k] * p.framing_map(k) for k in p.framing}
         assert q == FramedPoint(apply_gv(p.rep, g), p.framing_dims, framing)
         assert check_relations(q.rep) == []
+        assert computed(q.rep) == []
 
 
 def test_stability_is_orbit_invariant(young_corpus):
@@ -336,6 +339,26 @@ def test_marking_different_generators_gives_inequivalent_points():
     # but zeroing it leaves the stable locus entirely
     r = FramedPoint(p.rep, p.framing_dims, {0: Matrix.zero(1, 1)})
     assert not framed_equivalent(p, r)
+
+
+def test_inconsistent_framed_system_is_inequivalent():
+    # g s = s' has no solution for s = 0 and s' = 1: a pivot in the right-hand side
+    rep = QuiverRep(Window(0, 1), DimensionVector({0: 1, 1: 1}), {"h0": Matrix.from_rows([[1]])})
+    p = FramedPoint(rep, DimensionVector.unit(0), {0: Matrix.zero(1, 1)})
+    q = FramedPoint(rep, DimensionVector.unit(0), {0: Matrix.from_rows([[1]])})
+    assert not framed_equivalent(p, q)
+    assert not framed_equivalent(p, q, exhaustive=True)
+    assert framed_equivalence_space(p, q)[0] is None
+
+
+def test_framed_points_on_the_zero_representation_are_equivalent():
+    # the empty base change: the search's single candidate on no unknowns
+    p = FramedPoint(QuiverRep(Window(0, 1), DimensionVector()), DimensionVector.unit(0))
+    q = FramedPoint(QuiverRep(Window(0, 0), DimensionVector()), DimensionVector.unit(0))
+    for a, b in ((p, p), (p, q), (q, p)):
+        assert all(framed_equivalent(a, b, seed=seed) for seed in range(3))
+        assert framed_equivalent(a, b, exhaustive=True)
+        assert framed_equivalence_space(a, b) == ({0: Matrix.zero(0, 0), 1: Matrix.zero(0, 0)}, [])
 
 
 # --- the dimension formula --------------------------------------------------------------

@@ -10,16 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e2quiver import preproj
 from e2quiver.linalg import Matrix, kernel_basis, rank, scale_to_ints, solve, solve_multi
 from e2quiver.preproj import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
+    EndAlgebra,
+    HomSpace,
     QuiverRep,
     _HomLayout,
     _coprime_factors,
     _integer_roots,
     _poly_deriv,
     _poly_gcd,
+    _primary_components,
+    _relation_violations,
     apply_gv,
     check_relations,
     decompose,
@@ -416,6 +421,35 @@ def test_split_of_isotypic_square():
     assert all(is_isomorphic(p, x) for p in parts)
 
 
+def test_a_seeded_candidate_splits_when_no_basis_element_does(monkeypatch):
+    # End of a 2-dimensional weight space with no arrows, in a basis none of
+    # whose elements splits: E12, E21 and N = [[1, 1], [-1, -1]] have minimal
+    # polynomial t^2 and I has t - 1, so only a seeded combination can split
+    x = QuiverRep(Window(0, 0), DimensionVector({0: 2}))
+    layout = _HomLayout(x, x)
+    coords = [([0, 1, 0, 0], 1), ([0, 0, 1, 0], 1), ([1, 1, -1, -1], 1), ([1, 0, 0, 1], 1)]
+    end = EndAlgebra(x, HomSpace(x, x, layout, coords), radical_dim=0, semisimple_quotient_dim=4, radical_coeffs=[])
+    drawn = []
+    candidates = preproj._candidates
+
+    def counted(end):
+        for phi in candidates(end):
+            drawn.append(phi)
+            yield phi
+
+    monkeypatch.setattr(preproj, "_candidates", counted)
+    components = _primary_components(x, end)
+    assert components is not None
+    assert len(drawn) == len(coords) + 3  # the third seeded draw splits
+    assert [basis[0].cols for basis, _ in components] == [1, 1]
+    for basis, coords_along in components:
+        assert coords_along[0] * basis[0] == Matrix.identity(1)
+    total = Matrix.zero(2, 2)
+    for basis, coords_along in components:
+        total = total + basis[0] * coords_along[0]
+    assert total == Matrix.identity(2)
+
+
 def test_decompose_conjugated_sums():
     # hide the block structure with a base change before splitting
     rng = random.Random(1234)
@@ -744,6 +778,21 @@ def test_gv_action_on_violating_point_still_violates():
     )
     g = random_gv(x, random.Random(2))
     assert bool(check_relations(apply_gv(x, g))) == bool(check_relations(x))
+
+
+def test_gv_action_keeps_the_relation_verdict_it_would_compute(thin16):
+    # g conjugates each relation value, so the image fails exactly where x does
+    rng = random.Random(19)
+    violating = QuiverRep(Window(0, 2), DimensionVector({0: 1, 1: 2, 2: 1}), {"h0": Matrix.from_rows([[1], [1]]), "hbar0": Matrix.from_rows([[1, 0]])})
+    for rep in thin16[:4] + [violating]:
+        x = QuiverRep(rep.window, rep.dims, rep.maps)  # not checked yet, whatever ran before
+        g = random_gv(x, rng)
+        unchecked = apply_gv(x, g)
+        assert unchecked._violated is None
+        verdict = check_relations(x)
+        moved = apply_gv(x, g)
+        assert check_relations(moved) == verdict == _relation_violations(moved)
+    assert check_relations(violating) == [0, 1]
 
 
 def test_iso_implies_matching_invariants(thin16):

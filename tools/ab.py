@@ -13,7 +13,9 @@ is kept, a lost or failed one included, and ``BENCH_<name>.json`` at the
 root of the repository is rewritten after each pair, in the schema of the
 other ``BENCH_*.json`` files: ``what``, ``parent``, ``change``, ``command``,
 ``seed``, ``host``, ``summary`` and ``runs``, and ``src_lines``, each
-side's total line count of ``src/**/*.py``.
+side's total line count of ``src/**/*.py``, and ``src_code_lines``, each
+side's count of those lines that hold code: not blank, not comment-only
+and not inside a module, class or function docstring.
 
 For each workload and end-to-end metric the summary holds both medians,
 their inclusive quartiles (``statistics.quantiles(n=4,
@@ -23,13 +25,15 @@ the change wins (strictly better in the metric's direction, from
 by more than the parent's q3 - q1.  Beside them it keeps each run's
 wall-clock ``items_per_s``, its run count (``attempted``) and its host
 speed, since the end-to-end rates are scaled to reference seconds.  At the
-end the script prints the summary as a Markdown table, and the two
-``src/`` line counts under it.
+end the script prints the summary as a Markdown table, and the two sides'
+``src/`` line and code-line counts under it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -39,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,6 +135,30 @@ def src_lines(checkout: Path) -> int:
     return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
 
 
+# Tokens that hold no code: a line with only these is blank or comment-only.
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def code_lines(source: bytes) -> int:
+    """The lines of one Python file that hold a token of code, less those
+    of its module, class and function docstrings."""
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        documented = isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        if documented and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def src_code_lines(checkout: Path) -> int:
+    """code_lines summed over the Python files under checkout's src/."""
+    return sum(code_lines(path.read_bytes()) for path in (checkout / "src").rglob("*.py"))
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
 
@@ -210,6 +239,7 @@ def main(argv=None) -> int:
             ),
         },
         "src_lines": {who: src_lines(path) for who, path in sides.items()},
+        "src_code_lines": {who: src_code_lines(path) for who, path in sides.items()},
         "summary": {},
         "runs": [],
     }
@@ -226,6 +256,7 @@ def main(argv=None) -> int:
             out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(table(doc["summary"]))
     print(f"\n`src/` lines: parent {doc['src_lines']['parent']:,}, change {doc['src_lines']['change']:,}")
+    print(f"`src/` code lines: parent {doc['src_code_lines']['parent']:,}, change {doc['src_code_lines']['change']:,}")
     return 0
 
 
