@@ -45,8 +45,8 @@ def _parse_json(text: str):
         raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
 
 
-def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _encoded(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _load(kind, args: argparse.Namespace, count: int = 1):
@@ -289,15 +289,16 @@ def _run(args: argparse.Namespace) -> int:
     document, or (document, exit code) when the code can be nonzero."""
     try:
         result = args.func(args)
+        doc, code = result if isinstance(result, tuple) else (result, 0)
+        text = _encoded(doc)
     except json.JSONDecodeError as exc:
         print(f"malformed JSON input: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # a well-formed input that describes an invalid object, or one over
-        # a documented size limit
-        result = {"error": str(exc)}, 1
-    doc, code = result if isinstance(result, tuple) else (result, 0)
-    _emit(doc)
+        # an input that describes an invalid object or is over a documented
+        # size limit, or a result with an int too long to convert to a string
+        text, code = _encoded({"error": str(exc)}), 1
+    print(text)
     return code
 
 

@@ -109,10 +109,8 @@ class Matrix:
         values = [v if v.__class__ is int or v.__class__ is Fraction else frac(v) for v in entries]
         if len(values) != rows * cols:
             raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(values)}")
-        # already lowest terms: a prime's full power in the lcm divides some entry's denominator q, so not its n * (lcm / q)
-        den = lcm(*(v.denominator for v in values))
-        self.rows, self.cols, self._d = rows, cols, den
-        self._e = tuple(v.numerator * (den // v.denominator) for v in values)
+        ints, self._d = scale_to_ints(values)
+        self.rows, self.cols, self._e = rows, cols, tuple(ints)
 
     @classmethod
     def _of(cls, rows: int, cols: int, ints: Sequence[int], den: int = 1) -> "Matrix":
@@ -294,7 +292,9 @@ _GROWTH_BITS = 128
 
 
 def scale_to_ints(values: Iterable[Union[Fraction, int]]) -> tuple[list[int], int]:
-    """Integers n_k and the least d > 0 with values[k] = n_k / d."""
+    """Integers n_k and the least d > 0 with values[k] = n_k / d.  They are
+    in lowest terms: a prime's full power in the lcm d divides the
+    denominator q of some value n / q, so it does not divide n * (d / q)."""
     values = list(values)
     dens = [v.denominator for v in values]
     den = lcm(*dens)

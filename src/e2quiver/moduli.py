@@ -102,11 +102,7 @@ def partitions_up_to(n: int) -> list[Partition]:
 def residue_dim_vector(p: Partition, a: int) -> DimensionVector:
     """Weight multiplicities of the single-generator module: the box in
     column i, row j has residue i - j and contributes at weight a + i - j."""
-    counts: dict[int, int] = {}
-    for i, j in p.boxes():
-        w = a + i - j
-        counts[w] = counts.get(w, 0) + 1
-    return DimensionVector(counts)
+    return DimensionVector((a + i - j, 1) for i, j in p.boxes())
 
 
 @dataclass
@@ -117,10 +113,7 @@ class GeneratorSet:
     generators: list[tuple[int, Vector]]
 
     def framing_dims(self) -> DimensionVector:
-        counts: dict[int, int] = {}
-        for k, _ in self.generators:
-            counts[k] = counts.get(k, 0) + 1
-        return DimensionVector(counts)
+        return DimensionVector((k, 1) for k, _ in self.generators)
 
     def generates(self) -> bool:
         """Whether the marked vectors generate the module: exactly the
@@ -248,7 +241,7 @@ def framed_point(gs: GeneratorSet) -> FramedPoint:
     for k, coords in gs.generators:
         if len(coords) != gs.module.dims[k]:
             raise ValueError(f"generator at weight {k} has wrong length")
-        columns.setdefault(k, []).append(tuple(frac(c) for c in coords))
+        columns.setdefault(k, []).append(coords)
     framing = {
         k: Matrix.from_columns(cols, rows=gs.module.dims[k]) for k, cols in columns.items()
     }

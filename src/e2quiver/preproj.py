@@ -13,8 +13,8 @@ itself, read off End's kernel coordinates with no graded map and no structure
 constants.  Splitting has one mechanism: the primary decomposition of M under
 one endomorphism (the End basis in order, then seeded combinations), whose
 components ker f_i(phi) for the coprime factors f_i of its minimal polynomial
-are submodules with direct sum M.  The f_i come from Yun's square-free blocks
-and their integer roots, found p-adically with no size cap.
+are submodules with direct sum M.  The f_i come from Musser's square-free
+blocks and their integer roots, found p-adically with no size cap.
 
 Results are exact rationals, and the inner loops run on Python ints, the
 one number format of ``linalg.Matrix``: integers over one denominator, read
@@ -370,14 +370,21 @@ class EndAlgebra:
     trace form (a, b) -> Tr_M(ab), the trace of ab acting on M itself.  This
     holds because M is a faithful End(M)-module in characteristic zero: the
     kernel is an ideal whose elements a have Tr_M(a^k) = 0 for every k, so
-    they are nilpotent, and every radical element lies in it.
+    they are nilpotent, and every radical element lies in it.  Both
+    dimensions are read from radical_coeffs and hom.dim.
     """
 
     rep: QuiverRep
     hom: HomSpace
-    radical_dim: int
-    semisimple_quotient_dim: int
     radical_coeffs: list[Vector]
+
+    @property
+    def radical_dim(self) -> int:
+        return len(self.radical_coeffs)
+
+    @property
+    def semisimple_quotient_dim(self) -> int:
+        return self.hom.dim - self.radical_dim
 
     @property
     def basis(self) -> list[GradedMap]:
@@ -424,15 +431,7 @@ def end_algebra(x: QuiverRep) -> EndAlgebra:
     if x.total_dim == 0:
         raise ValueError("endomorphism algebra of the zero representation")
     hom = hom_basis(x, x)
-    radical_coeffs = sparse_kernel(trace_pairing(hom.layout, hom.coords, hom.coords), hom.dim)
-    radical_dim = len(radical_coeffs)
-    return EndAlgebra(
-        rep=x,
-        hom=hom,
-        radical_dim=radical_dim,
-        semisimple_quotient_dim=hom.dim - radical_dim,
-        radical_coeffs=radical_coeffs,
-    )
+    return EndAlgebra(x, hom, sparse_kernel(trace_pairing(hom.layout, hom.coords, hom.coords), hom.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +462,6 @@ def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
         for j, b in enumerate(q):
             if b != 0:
                 out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_sub(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
     return _poly_trim(out)
 
 
@@ -517,23 +507,20 @@ def _poly_deriv(p: Sequence[int]) -> list[int]:
 
 
 def _squarefree_blocks(p: Sequence[int]) -> list[tuple[list[int], int]]:
-    """Yun's square-free decomposition p = prod f_i^i of a monic integer
-    polynomial (nonconstant f_i only, each monic with integer coefficients)."""
-    if len(p) <= 1:
-        return []
-    g = _poly_gcd(p, _poly_deriv(p))
-    if len(g) <= 1:
-        return [(list(p), 1)]
-    c = _poly_quo(p, g)
-    d = _poly_sub(_poly_quo(_poly_deriv(p), g), _poly_deriv(c))
+    """Musser's square-free decomposition p = prod f_i^i of a monic integer
+    polynomial (nonconstant f_i only, each monic with integer coefficients)
+    by repeated gcds: from a = gcd(p, p') and b = p / a, with c = gcd(a, b)
+    each step keeps f_i = b / c and goes on with a / c and c."""
+    a = _poly_gcd(p, _poly_deriv(p))
+    b = _poly_quo(p, a)
     blocks = []
     i = 1
-    while len(c) > 1:
-        h = _poly_gcd(c, d)
-        if len(h) > 1:
-            blocks.append((h, i))
-        c = _poly_quo(c, h)
-        d = _poly_sub(_poly_quo(d, h), _poly_deriv(c))
+    while len(b) > 1:
+        c = _poly_gcd(a, b)
+        f = _poly_quo(b, c)
+        if len(f) > 1:
+            blocks.append((f, i))
+        a, b = _poly_quo(a, c), c
         i += 1
     return blocks
 
@@ -547,13 +534,13 @@ def _int_poly_at(coeffs: Sequence[int], x: int) -> int:
 
 
 def _integer_roots(g: Sequence[int]) -> list[int]:
-    """All integer roots of a monic square-free integer polynomial (a Yun
-    block), ascending; being monic, g has no other rational roots.  Each
+    """All integer roots of a monic square-free integer polynomial (a
+    Musser block), ascending; being monic, g has no other rational roots.  Each
     root of g mod the first odd prime at which all are simple is lifted by
     Newton's iteration past twice g's Cauchy bound, and exact roots are read
     off the symmetric residues (Loos, SIAM J. Comput. 12, 1983).  Only
     primes dividing the discriminant are skipped, so nothing is capped."""
-    deriv = [j * g[j] for j in range(1, len(g))]
+    deriv = _poly_deriv(g)
     bound = 2 * (1 + max(abs(c) for c in g))
     prime = 1
     while True:

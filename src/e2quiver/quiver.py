@@ -150,10 +150,7 @@ class DimensionVector:
         return DimensionVector({k + n: v for k, v in self._entries.items()})
 
     def __add__(self, other: "DimensionVector") -> "DimensionVector":
-        d = dict(self._entries)
-        for k, v in other._entries.items():
-            d[k] = d.get(k, 0) + v
-        return DimensionVector(d)
+        return DimensionVector([*self._entries.items(), *other._entries.items()])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DimensionVector):

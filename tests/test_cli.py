@@ -162,6 +162,18 @@ def test_dim_formula_command(capsys):
     assert doc == {"dimension": -2, "empty_advisory": True}
 
 
+def test_dim_formula_too_long_to_print_is_an_error_document(capsys):
+    # -(10^3000 - 1)^2 has 6,000 digits, past the int-to-string limit where
+    # Python has one: the error document, encoded in full before printing
+    code, out, err = run_cli(capsys, "dim-formula", "--v", '{"0": ' + "9" * 3000 + "}", "--w", '{"0": 0}')
+    doc = json.loads(out)
+    assert err == ""
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert code == 1 and set(doc) == {"error"}
+    else:
+        assert code == 0 and doc["dimension"] == -(10**3000 - 1) ** 2
+
+
 def test_iso_command(capsys, tmp_path):
     x = to_quiver(young_module(Partition.of(2), 0).module)
     y = to_quiver(young_module(Partition.of(1, 1), 1).module)

@@ -1,5 +1,7 @@
 import pytest
 
+from e2quiver.euclid import EuclideanModule
+from e2quiver.moduli import GeneratorSet
 from e2quiver.quiver import (
     Arrow,
     DimensionVector,
@@ -19,6 +21,17 @@ def test_dimension_vector_basics():
     assert v.total() == 4
     assert v + DimensionVector.unit(0) == DimensionVector({0: 2, 2: 3})
     assert v.shift(2).support() == (2, 4)
+
+
+def test_dimension_vector_sums_repeated_weights():
+    # residue_dim_vector, GeneratorSet.framing_dims and __add__ hand the
+    # constructor (weight, multiplicity) pairs and leave the counting to it
+    assert DimensionVector([(0, 1), (2, 1), (0, 2)]) == DimensionVector({0: 3, 2: 1})
+    assert DimensionVector((k % 2, 1) for k in range(5)) == DimensionVector({0: 3, 1: 2})
+    assert DimensionVector({0: 1, 1: 2}) + DimensionVector({1: 3, 4: 1}) == DimensionVector({0: 1, 1: 5, 4: 1})
+    module = EuclideanModule(DimensionVector({0: 2}))
+    gs = GeneratorSet(module, [(0, (1, 0)), (0, (0, 1))])
+    assert gs.framing_dims() == DimensionVector({0: 2})
 
 
 def test_dimension_vector_rejects_negative():
