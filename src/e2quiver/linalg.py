@@ -14,10 +14,11 @@ format.  A dense ``Matrix`` goes to ``_bareiss``, fraction-free Bareiss
 elimination of its integer rows: ``rank``, ``pivot_columns`` and
 ``column_space_basis``, and the invertibility test of ``preproj``'s
 integer candidate blocks.  Sparse rows go to ``Echelon``, fraction-free
-Gaussian elimination on primitive integer rows, which keeps each row that
-is independent of the rows before it: rank, kernels, solving and
-spinning.  Ranks are read off its echelon form alone, with no
-back-substitution and no division.  Kernels and solutions are read off
+Gaussian elimination on primitive integer rows, in which a working row
+with fewer entries than the kept row at its leading column takes over
+that pivot (Markowitz's sparsest-pivot rule, which cuts fill-in): rank,
+kernels, solving and spinning.  Ranks are read off its echelon form
+alone, with no back-substitution and no division.  Kernels and solutions are read off
 the integer reduced row echelon form that back-substitution of its rows
 gives (pivot-normalized kernel bases, solutions with free variables
 zero), as integers over the lcm of the pivot entries they divide by; no
@@ -277,13 +278,14 @@ class Matrix:
 # taking the content before clearing an entry of over _GROWTH_BITS bits
 # keeps l < 2^_GROWTH_BITS.  Echelon clears each new row at its leading
 # column until it vanishes or leads where no kept row does (the forward
-# phase, all that rank needs); _reduce then clears the entries above each
-# pivot, last row first.  Kernels and solutions read each entry they need
-# off the integer reduced rows, as integers over the lcm of the pivot
-# entries they divide by (_kernel, _particular).  The reduced row echelon
-# form is unique, so this gives exactly what elimination over Fraction
-# gives.  Only this module knows the row format: primitive rows with a
-# positive leading entry.
+# phase, all that rank needs), a shorter row taking over the pivot it
+# meets; _reduce then clears the entries above each pivot, last row
+# first.  Kernels and solutions read each entry they need off the integer
+# reduced rows, as integers over the lcm of the pivot entries they divide
+# by (_kernel, _particular).  The reduced row echelon form is unique, so
+# this gives exactly what elimination over Fraction gives.  Only this
+# module knows the row format: primitive rows with a positive leading
+# entry.
 
 SparseRow = dict[int, Union[Fraction, int]]
 _IntRow = dict[int, int]
@@ -340,12 +342,20 @@ class Echelon:
     Each kept row is primitive with a positive leading entry and is stored
     under its leading column.  A new row is cleared by the kept row at its
     current leading column until it vanishes (it lies in the span) or leads
-    at a column no kept row leads at; only then is it made primitive (the
-    same row as when made so after every clearing, see the comment above)
-    and kept.  Clearing its leading entry leaves only later columns, so each
-    kept row is used at most once.  Kept rows never change: rows added in
-    order give the echelon form of elimination column by column with the
-    first remaining row as pivot.
+    at a column no kept row leads at, where it is made primitive (the same
+    row as when made so after every clearing, see the comment above) and
+    kept.  When the working row has strictly fewer entries than the kept
+    row at its leading column, it is made primitive and kept there instead,
+    and a copy of the displaced row is cleared on: the sparser pivot makes
+    less fill-in in the rows it clears later (Markowitz, Management Sci. 3,
+    1957).  Clearing a leading entry leaves only later columns, so each
+    column is met at most once per added row.  A displaced row is replaced,
+    not changed, so the rows that form returned earlier stay as they were.
+
+    Which rows are kept depends on the rule and on the order of the rows;
+    nothing read off them does: the pivot columns, the row space, the rows
+    of _reduce (the unique reduced echelon form), kernels, solutions, and
+    the v of back_substitute for given free coordinates.
     """
 
     __slots__ = ("_rows",)
@@ -356,8 +366,8 @@ class Echelon:
             self.add(row)
 
     def add(self, row: SparseRow) -> bool:
-        """Keep row if it is independent of the rows kept so far; whether it
-        was kept.  The row holds nonzero entries only; it is not changed."""
+        """Add row to the echelon form; whether the rank grew.  The row holds
+        nonzero entries only; it is not changed."""
         if not row:
             return False
         den = lcm(*map(_denominator, row.values()))
@@ -368,10 +378,12 @@ class Echelon:
         while row:
             col = min(row)
             piv = self._rows.get(col)
-            if piv is None:
+            if piv is None or len(row) < len(piv):
                 g = gcd(*row.values())
                 self._rows[col] = _divided(row, -g if row[col] < 0 else g)
-                return True
+                if piv is None:
+                    return True
+                row, piv = dict(piv), self._rows[col]
             row = _clear(row, col, piv)
         return False
 

@@ -315,7 +315,14 @@ class _HomLayout:
     def intertwiner_rows(self) -> list[SparseRow]:
         """Linear system expressing g_target x_a = y_a g_source for all
         arrows, in integers: the equations of each arrow are homogeneous, so
-        they are scaled by the lcm of the denominators of x_a and y_a."""
+        they are scaled by the lcm of the denominators of x_a and y_a.
+
+        Arrows come in double_arrows order, and each arrow's equations with
+        their entry (r, c) descending: the order of the rows sets how much
+        fill-in Echelon makes, and on the Hom and End systems of sums of
+        thin representations this one costs it about a fifth fewer
+        clearings than ascending order, under either pivot rule.  Nothing
+        read off the system depends on the order."""
         rows: list[SparseRow] = []
         for arrow in double_arrows(self.window):
             xa = self.x.map(arrow)
@@ -327,8 +334,8 @@ class _HomLayout:
             tgt_base, src_base = self.offsets[arrow.target], self.offsets[arrow.source]
             # unknown g_target[r, k] sits at tgt_base + r * xa.rows + k and
             # g_source[k, c] at src_base + k * xa.cols + c; the two never meet
-            for r in range(ya.rows):
-                for c in range(xa.cols):
+            for r in reversed(range(ya.rows)):
+                for c in reversed(range(xa.cols)):
                     row: SparseRow = {}
                     for k in range(xa.rows):
                         v = x_ints[k * xa.cols + c]

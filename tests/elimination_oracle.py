@@ -3,7 +3,13 @@ row primitive again: the oracle of ``linalg.Echelon`` and ``linalg._reduce``.
 
 ``linalg`` takes a row's content once, when it keeps or finishes reducing
 the row.  A clearing step only rescales the row's rational direction, so
-its kept and reduced rows must equal the ones below exactly, row by row.
+its kept and reduced rows must equal the ones of ``Echelon`` below exactly,
+row by row: the same pivot rule, a working row with strictly fewer
+entries than the kept row at its leading column taking that row's place.
+
+``FirstRowEchelon`` keeps the earlier rule instead, each pivot kept by
+the first row that leads there.  Its kept rows differ, but the pivots,
+the reduced rows and everything read off them must not.
 """
 
 from fractions import Fraction
@@ -39,9 +45,18 @@ def _eliminate(row: IntRow, col: int, piv: IntRow, p: int) -> IntRow:
     return {c: v // content for c, v in out.items()}
 
 
+def _positive(row: IntRow) -> IntRow:
+    """row with a positive leading entry."""
+    return {c: -v for c, v in row.items()} if row[min(row)] < 0 else row
+
+
 class Echelon:
     """The echelon form of rows added one at a time, each row made
-    primitive before and after every clearing step."""
+    primitive before and after every clearing step.  A working row with
+    fewer entries than the kept row at its leading column is kept there
+    instead, and the displaced row is reduced on."""
+
+    displaces = True
 
     def __init__(self, rows: Iterable[SparseRow] = ()) -> None:
         self.rows: dict[int, IntRow] = {}
@@ -49,6 +64,7 @@ class Echelon:
             self.add(row)
 
     def add(self, row: SparseRow) -> bool:
+        """Whether the rank grew."""
         if not row:
             return False
         row = _primitive(row)
@@ -56,8 +72,11 @@ class Echelon:
             col = min(row)
             piv = self.rows.get(col)
             if piv is None:
-                self.rows[col] = {c: -v for c, v in row.items()} if row[col] < 0 else row
+                self.rows[col] = _positive(row)
                 return True
+            if self.displaces and len(row) < len(piv):
+                self.rows[col], row = _positive(row), piv
+                piv = self.rows[col]
             row = _eliminate(row, col, piv, piv[col])
         return False
 
@@ -66,10 +85,18 @@ class Echelon:
         return [self.rows[c] for c in pivots], pivots
 
 
-def reduce(rows: Iterable[SparseRow]) -> tuple[list[IntRow], list[int]]:
+class FirstRowEchelon(Echelon):
+    """The echelon form under the earlier rule: the first row that leads
+    at a column keeps its pivot."""
+
+    displaces = False
+
+
+def reduce(rows: Iterable[SparseRow], echelon: type[Echelon] = Echelon) -> tuple[list[IntRow], list[int]]:
     """The integer reduced row echelon form, cleared above each pivot, last
-    pivot first, with the content taken after every clearing step."""
-    reduced, pivots = Echelon(rows).form()
+    pivot first, with the content taken after every clearing step, from
+    the forward elimination of echelon."""
+    reduced, pivots = echelon(rows).form()
     for k in range(len(reduced) - 1, 0, -1):
         piv, col = reduced[k], pivots[k]
         for i in range(k):

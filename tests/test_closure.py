@@ -150,6 +150,30 @@ def _count_offers(monkeypatch) -> list:
     return made
 
 
+def test_closure_holds_where_shorter_rows_take_over_pivots(young_points, thin16, monkeypatch):
+    """A shorter row displaces a kept pivot row in some of these spins; the
+    closure and the stability verdict are still the oracle's."""
+    displaced = []
+
+    class DisplacementCounting(Echelon):
+        def add(self, row):
+            before = self.form()[0]
+            kept = super().add(row)
+            displaced.extend(r for r in before if all(r is not s for s in self.form()[0]))
+            return kept
+
+    monkeypatch.setattr(moduli, "Echelon", DisplacementCounting)
+    rng = random.Random(5)
+    sums = [direct_sum(rng.choice(thin16), rng.choice(thin16)) for _ in range(30)]
+    for rep in [apply_gv(rep, random_gv(rep, rng)) for rep in sums]:
+        _assert_same_closure(rep, _awkward_seed(rep, rng, set()))
+    for base, conjugate, remarked in young_points:
+        for point, stable in ((base, True), (conjugate, True), (remarked, False)):
+            _assert_same_closure(point.rep, _framing_seed(point))
+            assert is_stable(point) == stable
+    assert displaced
+
+
 def test_closure_counts_each_arrow_vector_pair_once(young_points, monkeypatch):
     made = _count_offers(monkeypatch)
     total = 0

@@ -106,29 +106,31 @@ def coordinate(layout, vertex, r, c):
     return layout.offsets[vertex] + r * layout.x.dim(vertex) + c
 
 
-def oracle_intertwiner_rows(layout):
-    """The Fraction rows of g_target x_a = y_a g_source, one per entry."""
+def oracle_intertwiner_rows(layout, ascending=False):
+    """The Fraction rows of g_target x_a = y_a g_source, one per entry (r, c),
+    arrow by arrow, in the program's order: each arrow's entries last first,
+    or first first when ascending."""
     rows = []
     for arrow in double_arrows(layout.window):
         xa = layout.x.map(arrow)
         ya = layout.y.map(arrow)
         src, tgt = arrow.source, arrow.target
-        for r in range(layout.y.dim(tgt)):
-            for c in range(layout.x.dim(src)):
-                row = {}
-                for k in range(layout.x.dim(tgt)):
-                    v = xa[k, c]
-                    if v != 0:
-                        idx = coordinate(layout, tgt, r, k)
-                        row[idx] = row.get(idx, ZERO) + v
-                for k in range(layout.y.dim(src)):
-                    v = ya[r, k]
-                    if v != 0:
-                        idx = coordinate(layout, src, k, c)
-                        row[idx] = row.get(idx, ZERO) - v
-                row = {i: v for i, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
+        entries = [(r, c) for r in range(layout.y.dim(tgt)) for c in range(layout.x.dim(src))]
+        for r, c in entries if ascending else reversed(entries):
+            row = {}
+            for k in range(layout.x.dim(tgt)):
+                v = xa[k, c]
+                if v != 0:
+                    idx = coordinate(layout, tgt, r, k)
+                    row[idx] = row.get(idx, ZERO) + v
+            for k in range(layout.y.dim(src)):
+                v = ya[r, k]
+                if v != 0:
+                    idx = coordinate(layout, src, k, c)
+                    row[idx] = row.get(idx, ZERO) - v
+            row = {i: v for i, v in row.items() if v != 0}
+            if row:
+                rows.append(row)
     return rows
 
 
