@@ -174,6 +174,8 @@ class Matrix:
         return _fractions(self._e, self._d)
 
     def row(self, i: int) -> Vector:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
         return _fractions(self._e[i * self.cols : (i + 1) * self.cols], self._d)
 
     def col(self, j: int) -> Vector:

@@ -6,7 +6,8 @@ arrow.  This module decides everything the classification work needs:
 whether the Gelfand-Ponomarev relations hold, nilpotency, intertwiner
 (Hom) spaces, endomorphism algebras with their Jacobson radical,
 indecomposability, direct sums, splitting into summands, and isomorphism
-testing under the base-change group.
+testing under the base-change group.  Nilpotency walks down the spans of
+the path images (``linalg.column_space_basis``), so no two paths cancel.
 
 The radical of End(M) is the kernel of the trace form (a, b) -> Tr_M(ab) on M
 itself, read off End's kernel coordinates with no graded map and no structure
@@ -68,6 +69,7 @@ from .linalg import (
     _bareiss,
     back_substitute,
     block_diag,
+    column_space_basis,
     inverse,
     rank,
     shown,
@@ -241,35 +243,29 @@ def _relation_violations(x: QuiverRep) -> list[int]:
     return violated
 
 
-def total_matrix(x: QuiverRep) -> Matrix:
-    """The endomorphism of the direct sum of all weight spaces whose blocks
-    are the arrow matrices (weights ordered ascending)."""
-    verts = list(x.window.vertices())
-    offsets = dict(zip(verts, itertools.accumulate((x.dim(v) for v in verts), initial=0)))
-    total = x.total_dim
-    entries = [[0] * total for _ in range(total)]
-    # no two arrows share a (target, source) pair, so each block is written once
-    for arrow in double_arrows(x.window):
-        m, r0, c0 = x.map(arrow), offsets[arrow.target], offsets[arrow.source]
-        for i in range(m.rows):
-            entries[r0 + i][c0 : c0 + m.cols] = m.row(i)
-    return Matrix.from_rows(entries, cols=total)
-
-
 def is_nilpotent(x: QuiverRep) -> bool:
-    """Whether all long enough path evaluations vanish.
+    """Whether every long enough path evaluates to zero on x.
 
-    Equivalent formulation: the total arrow-sum operator A on the direct sum
-    of the weight spaces satisfies A^d = 0 for d the total dimension, since
-    the blocks of A^n are the sums of path evaluations over length-n paths.
+    The walk down the arrow images: U_0 = x and U_{k+1} = J U_k, with
+    (J W)_t the sum of x_a W_s over the arrows a: s -> t, so U_k is spanned
+    by the images of the paths of length k.  Each U_{k+1} lies in U_k, as
+    J x lies in x.  True when some U_k is 0; False once U_{k+1} = U_k != 0,
+    which every power of J keeps.  Each earlier step drops a dimension, so
+    the walk ends within total_dim steps.
     """
-    d = x.total_dim
-    power = total_matrix(x)
-    steps = 1
-    while steps < d:
-        power = power * power
-        steps *= 2
-    return power.is_zero()
+    span = {v: Matrix.identity(x.dim(v)) for v in x.window.vertices()}
+    dim = x.total_dim
+    while dim:
+        images: dict[int, list[Vector]] = {v: [] for v in span}
+        for arrow in double_arrows(x.window):
+            image = x.map(arrow) * span[arrow.source]
+            images[arrow.target] += map(image.col, range(image.cols))
+        span = {v: column_space_basis(Matrix.from_columns(cols, rows=x.dim(v))) for v, cols in images.items()}
+        shrunk = sum(m.cols for m in span.values())
+        if shrunk == dim:
+            return False
+        dim = shrunk
+    return True
 
 
 # ---------------------------------------------------------------------------

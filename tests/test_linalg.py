@@ -196,6 +196,17 @@ def test_zero_sized_matrices_are_legal():
     assert Matrix.zero(3, 0).apply(()) == (Fraction(0),) * 3
 
 
+def test_rows_columns_and_entries_check_their_index():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    assert m.row(1) == (3, 4) and m.col(1) == (2, 4)
+    for read in (lambda: m.row(2), lambda: m.row(-1), lambda: m.col(5), lambda: m.col(-1), lambda: m[5, 0]):
+        with pytest.raises(IndexError):
+            read()
+    assert Matrix.zero(1, 0).row(0) == ()
+    with pytest.raises(IndexError):
+        Matrix.zero(0, 3).row(0)
+
+
 def test_canonical_string_round_trip():
     m = Matrix.from_rows([["-1/2", "3"], ["0", "7/3"]])
     lists = m.to_lists()

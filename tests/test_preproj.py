@@ -37,13 +37,13 @@ from e2quiver.preproj import (
     is_nilpotent,
     random_gv,
     split,
-    total_matrix,
 )
 from e2quiver.moduli import enumerate_thin_indecomposables
 from e2quiver.quiver import DimensionVector, Window, double_arrows
 import fraction_polys
 from capped_roots import _rational_roots as capped_rational_roots
 from hom_oracles import crawley_boevey_count
+from path_oracle import every_path_vanishes
 
 ONE = Matrix.from_rows([[1]])
 
@@ -116,10 +116,49 @@ def test_not_nilpotent_with_cycle():
         DimensionVector({0: 1, 1: 1}),
         {"h0": ONE, "hbar0": ONE},
     )
-    # the square of the total operator has the block x_hbar0 x_h0 = 1
+    # the cycle 0 -> 1 -> 0 evaluates to x_hbar0 x_h0 = 1
     assert not is_nilpotent(x)
-    square = total_matrix(x) * total_matrix(x)
-    assert square[0, 0] == 1
+    assert x.map("hbar0") * x.map("h0") == ONE
+
+
+def test_a_cycle_that_cancels_in_the_arrow_sum_is_not_nilpotent():
+    # the sum A of all arrow maps has A^3 = 0: the two paths 0 -> 1 -> 2 -> 1
+    # and 0 -> 1 -> 0 -> 1 cancel, but hbar0 h0 = 1 on V_0 never dies
+    x = QuiverRep(
+        Window(0, 2),
+        DimensionVector({0: 1, 1: 1, 2: 1}),
+        {"h0": ONE, "h1": Matrix.from_rows([[-1]]), "hbar0": ONE, "hbar1": ONE},
+    )
+    assert x.map("hbar0") * x.map("h0") == ONE
+    assert not every_path_vanishes(x)
+    assert not is_nilpotent(x)
+
+
+def random_small_rep(rng: random.Random) -> QuiverRep:
+    """A representation on a window of width <= 3, weight dimensions <= 2
+    and arrow entries in {-1, 0, 1}, each entry of a map zero with a
+    probability drawn for that map, so that cycles are often alive."""
+    window = Window(0, rng.randint(0, 3))
+    dims = {v: rng.randint(0, 2) for v in window.vertices()}
+    maps = {}
+    for arrow in double_arrows(window):
+        zero_share = rng.random()
+        n = dims[arrow.target] * dims[arrow.source]
+        entries = [0 if rng.random() < zero_share else rng.choice((-1, 1)) for _ in range(n)]
+        maps[arrow.name] = Matrix(dims[arrow.target], dims[arrow.source], entries)
+    return QuiverRep(window, DimensionVector(dims), maps)
+
+
+def test_nilpotency_agrees_with_every_path_on_small_representations():
+    rng = random.Random(28)
+    verdicts = []
+    for _ in range(1200):
+        x = random_small_rep(rng)
+        verdict = every_path_vanishes(x)
+        assert is_nilpotent(x) == verdict, x
+        verdicts.append(verdict)
+    # both answers occur often
+    assert 100 < verdicts.count(False) < 1100
 
 
 def test_thin_representatives_nilpotent(thin16):
