@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, frac, shown
@@ -78,14 +77,6 @@ class EuclideanModule(Frozen):
     def total_dim(self) -> int:
         return self.dims.total()
 
-    def __reduce__(self):
-        return EuclideanModule, (self.dims, dict(self.p_plus), dict(self.p_minus))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EuclideanModule):
-            return NotImplemented
-        return self.dims == other.dims and self.p_plus == other.p_plus and self.p_minus == other.p_minus
-
     def __repr__(self) -> str:
         return f"EuclideanModule(dims={self.dims.to_json_dict()})"
 
@@ -109,15 +100,11 @@ class EuclideanModule(Frozen):
         return cls(dims, p_plus, p_minus)
 
 
-def _canonical(dims: DimensionVector, maps: Mapping[int, Matrix], step: int) -> Mapping[int, Matrix]:
-    """The maps read-only, without the zero maps of the right shape, which
-    plus and minus imply; a wrongly shaped map is kept for validate to report."""
-    canonical = {}
-    for k, m in maps.items():
-        k = int(k)
-        if not m.is_zero() or m.rows != dims[k + step] or m.cols != dims[k]:
-            canonical[k] = m
-    return MappingProxyType(canonical)
+def _canonical(dims: DimensionVector, maps: Mapping[int, Matrix], step: int) -> dict[int, Matrix]:
+    """The maps without the zero maps of the right shape, which plus and
+    minus imply; a wrongly shaped map is kept for validate to report."""
+    pairs = ((int(k), m) for k, m in maps.items())
+    return {k: m for k, m in pairs if not m.is_zero() or m.shape != (dims[k + step], dims[k])}
 
 
 def validate(m: EuclideanModule) -> list[str]:

@@ -35,6 +35,7 @@ Floats are rejected on input so a rounding error can never sneak in.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -52,13 +53,17 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _SHOWN = 40
 
 
+def cut(value: object) -> str:
+    """The start of str(value), for an error message: at most _SHOWN
+    characters, the last three "..." when it is cut.  An int is written by
+    Decimal, which has no int-to-string digit limit."""
+    text = str(Decimal(value)) if type(value) is int else str(value)
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 3] + "..."
+
+
 def shown(value: object) -> str:
-    """value's type and the start of its repr, for an error message: at
-    most _SHOWN characters, the last three "..." when it is cut."""
-    text = repr(value)
-    if len(text) > _SHOWN:
-        text = text[: _SHOWN - 3] + "..."
-    return f"{type(value).__name__} {text}"
+    """value's type and the start of its repr, cut for an error message."""
+    return f"{type(value).__name__} {cut(repr(value))}"
 
 
 def frac(value: RationalLike) -> Fraction:

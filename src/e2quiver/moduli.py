@@ -24,12 +24,11 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .euclid import EuclideanModule, to_quiver
 # rank is unused here, but bench/test_bench.py checks that its tracer rewraps moduli.rank
-from .linalg import Echelon, IntVector, Matrix, SparseRow, Vector, _augment, frac, rank, scale_to_ints, sparse_affine_solve, vector
+from .linalg import Echelon, IntVector, Matrix, SparseRow, Vector, _augment, cut, frac, rank, scale_to_ints, sparse_affine_solve, vector
 from .preproj import (
     GradedMap,
     QuiverRep,
@@ -50,9 +49,9 @@ class Partition:
     def __post_init__(self) -> None:
         for i, p in enumerate(self.parts):
             if p < 1:
-                raise ValueError(f"partition part {p} is not positive")
+                raise ValueError(f"partition part {cut(p)} is not positive")
             if i > 0 and p > self.parts[i - 1]:
-                raise ValueError(f"parts not weakly decreasing: {self.parts}")
+                raise ValueError(f"parts not weakly decreasing: {cut(self.parts)}")
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -192,25 +191,13 @@ class FramedPoint(Frozen):
             expected = (rep.dims[k], framing_dims[k])
             m = given.get(k, Matrix.zero(*expected))
             if m.shape != expected:
-                raise ValueError(f"framing at weight {k} has shape {m.shape}, expected {expected}")
+                raise ValueError(f"framing at weight {cut(k)} has shape {m.shape}, expected {expected}")
             if m.rows > 0 and m.cols > 0:
                 canonical[k] = m
-        self._set(rep=rep, framing_dims=framing_dims, framing=MappingProxyType(canonical))
+        self._set(rep=rep, framing_dims=framing_dims, framing=canonical)
 
     def framing_map(self, k: int) -> Matrix:
         return self.framing.get(k, Matrix.zero(self.rep.dims[k], self.framing_dims[k]))
-
-    def __reduce__(self):
-        return FramedPoint, (self.rep, self.framing_dims, dict(self.framing))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FramedPoint):
-            return NotImplemented
-        return (
-            self.rep == other.rep
-            and self.framing_dims == other.framing_dims
-            and self.framing == other.framing
-        )
 
     def __repr__(self) -> str:
         return f"FramedPoint(dims={self.rep.dims.to_json_dict()}, framing_dims={self.framing_dims.to_json_dict()})"
@@ -409,7 +396,7 @@ def _thin_choices(window: Window, options: tuple[int, ...]):
     # the width is compared first, so a huge one never builds the power
     if window.width > _THIN_LIMIT or len(options) ** window.width > _THIN_LIMIT:
         raise ValueError(
-            f"window [{window.a}, {window.b}] has {len(options)}^{window.width} thin choices, "
+            f"window [{cut(window.a)}, {cut(window.b)}] has {len(options)}^{cut(window.width)} thin choices, "
             f"over the limit of {_THIN_LIMIT}"
         )
     return itertools.product(options, repeat=window.width)

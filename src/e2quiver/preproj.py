@@ -57,7 +57,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, isqrt, lcm
 from operator import mul
-from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import (
@@ -70,6 +69,7 @@ from .linalg import (
     back_substitute,
     block_diag,
     column_space_basis,
+    cut,
     inverse,
     rank,
     shown,
@@ -119,7 +119,7 @@ class QuiverRep(Frozen):
     ):
         for k in dims.support():
             if not window.contains(k):
-                raise ValueError(f"dimension vector has weight {k} outside window [{window.a}, {window.b}]")
+                raise ValueError(f"dimension vector has weight {cut(k)} outside window [{cut(window.a)}, {cut(window.b)}]")
         given = dict(maps) if maps else {}
         complete: dict[str, Matrix] = {}
         for arrow in double_arrows(window):
@@ -135,7 +135,7 @@ class QuiverRep(Frozen):
             complete[arrow.name] = m
         if given:
             raise ValueError(f"maps for arrows outside the window: {sorted(given)}")
-        self._set(window=window, dims=dims, maps=MappingProxyType(complete), _violated=None)
+        self._set(window=window, dims=dims, maps=complete, _violated=None)
 
     @classmethod
     def zero(cls, dims: DimensionVector, window: Window | None = None) -> "QuiverRep":
@@ -161,14 +161,6 @@ class QuiverRep(Frozen):
         if window == self.window:
             return self
         return QuiverRep(window, self.dims, dict(self.maps))
-
-    def __reduce__(self):
-        return QuiverRep, (self.window, self.dims, dict(self.maps))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuiverRep):
-            return NotImplemented
-        return self.window == other.window and self.dims == other.dims and self.maps == other.maps
 
     def __repr__(self) -> str:
         return f"QuiverRep(window=[{self.window.a},{self.window.b}], dims={self.dims.to_json_dict()})"
@@ -762,13 +754,22 @@ def decompose(x: QuiverRep) -> list[QuiverRep]:
 
 def _decompose(x: QuiverRep) -> list[tuple[QuiverRep, str]]:
     """decompose(x), each summand with the indecomposability verdict of the
-    _split_components call that found it unsplittable."""
-    if x.total_dim == 0:
-        return []
-    verdict, components = _split_components(x)
-    if components is None:
-        return [(x, verdict)]
-    return [leaf for c in components for leaf in _decompose(_restrict(x, c))]
+    _split_components call that found it unsplittable.  One loop over a
+    stack of parts, with no recursion, so a window that splits hundreds of
+    times stays under the recursion limit; a split part's components go back
+    in reverse, so the summands keep their depth-first order."""
+    leaves = []
+    parts = [x]
+    while parts:
+        part = parts.pop()
+        if part.total_dim == 0:
+            continue
+        verdict, components = _split_components(part)
+        if components is None:
+            leaves.append((part, verdict))
+        else:
+            parts.extend(_restrict(part, c) for c in reversed(components))
+    return leaves
 
 
 def direct_sum(x: QuiverRep, y: QuiverRep) -> QuiverRep:

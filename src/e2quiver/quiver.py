@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .linalg import shown
+from .linalg import cut, shown
 
 # The largest window width, number of End unknowns (the sum of d_v^2 over the
 # weights, framing dimensions counted the same way) and number of partition
@@ -28,7 +29,7 @@ SIZE_LIMIT = 2048
 def check_size(what: str, n: int) -> None:
     """Refuse an input read from JSON whose size n is over SIZE_LIMIT."""
     if n > SIZE_LIMIT:
-        raise ValueError(f"{what} {n} is over the limit of {SIZE_LIMIT}")
+        raise ValueError(f"{what} {cut(n)} is over the limit of {SIZE_LIMIT}")
 
 
 def json_object(value: object, what: str) -> Mapping:
@@ -77,25 +78,41 @@ def json_weight_object(value: object, what: str) -> dict[int, object]:
     for key, v in json_object(value, what).items():
         k = json_weight(key, f"{what} key")
         if k in out:
-            raise ValueError(f"{what} names weight {k} twice")
+            raise ValueError(f"{what} names weight {cut(k)} twice")
         out[k] = v
     return out
 
 
 class Frozen:
-    """Base of the immutable values: assigning or deleting an attribute
-    raises AttributeError.  Their own code sets attributes through _set: the
-    constructor, and the first check that fills a cache slot with a result
-    that depends only on the value.  Two threads that fill one slot store
-    equal results, so a race only repeats the work.  Each subclass pickles
-    and copies through its constructor (__reduce__), which leaves the cache
-    slots empty."""
+    """Base of the immutable values, and the one home of their value
+    protocol.  Assigning or deleting an attribute raises AttributeError.
+    Their own code sets attributes through _set, which stores a dict as a
+    read-only mapping: the constructor does, and so does the first check
+    that fills a cache slot with a result that depends only on the value
+    (two threads that fill one slot store equal results, so a race only
+    repeats the work).  A leading underscore marks a cache slot, which no
+    value, comparison or pickle includes; the other slots, in the order of
+    the constructor's arguments, are the value.  Objects of one type with
+    equal values are equal, and no value is hashable.  Pickling and copying
+    go through the constructor (__reduce__), so the value is checked again
+    and the cache slots start empty."""
 
     __slots__ = ()
 
     def _set(self, **values: object) -> None:
         for name, value in values.items():
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, MappingProxyType(value) if type(value) is dict else value)
+
+    def _value(self) -> Iterator[object]:
+        return (getattr(self, name) for name in type(self).__slots__ if name[0] != "_")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(a == b for a, b in zip(self._value(), other._value()))
+
+    def __reduce__(self):
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in self._value())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
@@ -120,7 +137,7 @@ class DimensionVector:
             k = int(k)
             n = int(n)
             if n < 0:
-                raise ValueError(f"negative multiplicity {n} at weight {k}")
+                raise ValueError(f"negative multiplicity {cut(n)} at weight {cut(k)}")
             if n > 0:
                 d[k] = d.get(k, 0) + n
         self._entries = d
@@ -175,7 +192,7 @@ class DimensionVector:
         and multiplicities must be JSON integers: a float, a bool or a string
         is rejected, not converted."""
         data = json_weight_object(data, "dimension vector")
-        return cls({k: json_int(v, f"multiplicity at weight {k}") for k, v in data.items()})
+        return cls({k: json_int(v, f"multiplicity at weight {cut(k)}") for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -187,7 +204,7 @@ class Window:
 
     def __post_init__(self) -> None:
         if self.a > self.b:
-            raise ValueError(f"empty window [{self.a}, {self.b}]")
+            raise ValueError(f"empty window [{cut(self.a)}, {cut(self.b)}]")
 
     @property
     def width(self) -> int:

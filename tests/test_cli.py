@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -382,6 +383,39 @@ def test_probe_exits_1_with_json_error(probe_results, name):
     code, out, err = probe_results[name]
     assert (code, err) == (1, "")
     assert list(json.loads(out)) == ["error"]
+
+
+# Inputs whose error names a 3,000-digit number, or the 4,400-digit square
+# of a dimension (past Python's int-to-string limit where it has one);
+# "{doc}" stands for a file holding the document.
+BIG, ROOT = 10**3000 - 1, 10**2200 - 1
+HUGE_NUMBERS = {
+    "empty_window": (["decompose", "--module", "{doc}"], {"window": [BIG, 0], "dims": {}}),
+    "rep_window_width": (["decompose", "--module", "{doc}"], {"window": [0, BIG], "dims": {}}),
+    "module_window_width": (["verify", "--module", "{doc}"], {"dims": {"0": 1, str(BIG): 1}}),
+    "negative_multiplicity": (["dim-formula", "--v", f'{{"0": -{BIG}}}', "--w", "{}"], None),
+    "multiplicity_type": (["dim-formula", "--v", f'{{"{BIG}": "1"}}', "--w", "{}"], None),
+    "weight_named_twice": (["dim-formula", "--v", f'{{"{BIG}": 1, "0{BIG}": 1}}', "--w", "{}"], None),
+    "weight_outside_window": (["decompose", "--module", "{doc}"], {"window": [0, 0], "dims": {str(BIG): 1}}),
+    "partition_size": (["young", "--partition", f"[{BIG}]"], None),
+    "partition_part": (["young", "--partition", f"[-{BIG}]"], None),
+    "partition_order": (["young", "--partition", f"[1, {BIG}, -{BIG}]"], None),
+    "thin_choices": (["enumerate-thin", "--window", "0", str(BIG)], None),
+    "squared_dimension": (["decompose", "--module", "{doc}"], {"window": [0, 0], "dims": {"0": ROOT}}),
+    "squared_framing_dimension": (["stable", "--module", "{doc}"], {**FRAMED, "framing_dims": {"0": ROOT}}),
+    "framing_weight": (["stable", "--module", "{doc}"], {**FRAMED, "framing": {str(BIG): [["1"]]}}),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_NUMBERS)
+def test_error_documents_cut_huge_numbers(capsys, tmp_path, name):
+    argv, doc = HUGE_NUMBERS[name]
+    path = write_json(tmp_path / "doc.json", doc) if doc is not None else ""
+    code, out, err = run_cli(capsys, *(a.replace("{doc}", path) for a in argv))
+    assert (code, err) == (1, "")
+    message = json.loads(out)["error"]
+    assert "..." in message and "Exceeds" not in message
+    assert max(len(run) for run in re.findall(r"[0-9]+", message)) <= 40
 
 
 def test_decompose_command(capsys, tmp_path):

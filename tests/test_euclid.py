@@ -129,10 +129,16 @@ def test_validate_matches_the_commutator_loop_oracle():
 def test_modules_and_representations_are_immutable():
     m = young_module(Partition.of(3, 1), 0).module
     x = to_quiver(m)
+    assert validate(m) == [] and check_relations(x) == []
     for maps in (x.maps, m.p_plus, m.p_minus):
         with pytest.raises(TypeError):
             maps[0] = ONE
-    for value, names in ((x, ("window", "dims", "maps")), (m, ("dims", "p_plus", "p_minus"))):
+    for value, names, cache in ((x, ("window", "dims", "maps"), "_violated"), (m, ("dims", "p_plus", "p_minus"), "_checked")):
+        assert getattr(value, cache) is not None
+        with pytest.raises(TypeError):
+            hash(value)
+        # another type, also one holding the same value, is never equal
+        assert (value == value.to_json_dict()) is False and (x == m) is False and (m == x) is False
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(value, name, getattr(value, name))
@@ -140,9 +146,10 @@ def test_modules_and_representations_are_immutable():
                 delattr(value, name)
         with pytest.raises(AttributeError):
             value.label = "a new attribute"
-        # pickle and copy rebuild through the constructor
+        # pickle and copy rebuild through the constructor, with the cache empty
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
-            assert twin == value
+            assert twin == value and twin is not value
+            assert getattr(twin, cache) is None
 
 
 def test_constructors_copy_the_maps_they_are_given():

@@ -7,7 +7,9 @@ from e2quiver.linalg import (
     Matrix,
     block_diag,
     column_space_basis,
+    cut,
     frac,
+    shown,
     inverse,
     kernel_basis,
     rank,
@@ -205,6 +207,16 @@ def test_rows_columns_and_entries_check_their_index():
     assert Matrix.zero(1, 0).row(0) == ()
     with pytest.raises(IndexError):
         Matrix.zero(0, 3).row(0)
+
+
+def test_error_text_keeps_40_characters():
+    # up to 40 characters print as str prints them; longer ones keep 37 and
+    # "...", and an int past Python's int-to-string limit is cut the same way
+    assert cut(-(10**38)) == str(-(10**38)) and len(cut(-(10**38))) == 40
+    assert cut(10**40) == "1" + "0" * 36 + "..."
+    assert cut(-(10**5000)) == "-1" + "0" * 35 + "..."
+    assert cut((1, 2)) == "(1, 2)" and cut("a" * 41) == "a" * 37 + "..."
+    assert shown("x" * 50) == "str '" + "x" * 36 + "..."
 
 
 def test_canonical_string_round_trip():

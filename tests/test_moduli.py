@@ -234,8 +234,12 @@ def test_framed_points_are_immutable():
             setattr(point, name, getattr(point, name))
         with pytest.raises(AttributeError):
             delattr(point, name)
+    with pytest.raises(TypeError):
+        hash(point)
+    # another type, also one holding the same value, is never equal
+    assert (point == point.rep) is False and (point == point.to_json_dict()) is False
     for twin in (pickle.loads(pickle.dumps(point)), copy.copy(point), copy.deepcopy(point)):
-        assert twin == point
+        assert twin == point and twin is not point
 
 
 def test_apply_gv_framed_skips_the_relation_check(monkeypatch, young_corpus):

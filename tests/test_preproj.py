@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from math import lcm
@@ -706,6 +707,23 @@ def test_decompose_with_huge_eigenvalues_returns_promptly():
     assert sum((p.dims for p in parts), DimensionVector()) == x.dims
     assert len(parts) == 3
     assert all(is_indecomposable(p).verdict == INDECOMPOSABLE for p in parts)
+
+
+def test_decompose_of_a_wide_window_keeps_the_stack_flat():
+    # the thin window [0, 40] with zero maps splits into its 41 simples, one
+    # split at a time; recursing once per split runs past a limit set 60
+    # frames above the caller
+    x = QuiverRep(Window(0, 40), DimensionVector({v: 1 for v in range(41)}))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        parts = decompose(x)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(part.dims.support() for part in parts) == [(v,) for v in range(41)]
 
 
 def _end_fields(end):
